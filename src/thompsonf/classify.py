@@ -9,6 +9,13 @@ into classes M1 ... M7:
     M1  {}            M2  {X0^-1}        M3  {X0}          M4  {X1^-1}
     M5  {X1}          M6  {X0^-1, X1^-1}                   M7  {X0^-1, X1}
 
+The cells of a canonical diagram are in bijection with the letters of
+its normal form, so a class is read from normal forms alone: X_i^s
+divides g exactly when the normal form of g x_i^-s is one letter shorter
+than that of g.  `right_divisible` applies the definition literally to a
+diagram and is kept as the oracle the normal-form criterion is tested
+against.
+
 `check_partition` and `check_closures` verify, on a finite set of
 elements, that no other divisor set occurs and that right multiplication
 by the generators moves the classes the way it should.
@@ -21,15 +28,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .diagrams import (
-    LEAF,
     CanonicalDiagram,
     InvariantViolation,
     atomic,
     cells,
     concat_product,
-    exposed_caret_positions,
-    nf_to_diagram,
-    tree_leaves,
 )
 from .words import NormalForm, nf_multiply
 
@@ -103,48 +106,35 @@ def right_divisible(d: CanonicalDiagram, index: int, sign: int) -> bool:
     return cells(concat_product(d, probe)) == cells(d) - 1
 
 
-def _right_divisible_fast(d: CanonicalDiagram, index: int, sign: int) -> bool:
-    """Structural shortcut for right_divisible, proven equal to the padded
-    product oracle on ball(8) plus random samples (see the test suite).
-
-    Dividing by X_i^-1 means the bottom forest's tree i has a root caret;
-    dividing by X_i means bottom trees i and i+1 are bare edges facing an
-    exposed caret of the top forest.
-    """
-    bottom = d.bottom
-    if sign < 0:
-        return index < len(bottom) and bottom[index] != LEAF
-    if index + 1 >= len(bottom):
-        return False
-    if bottom[index] != LEAF or bottom[index + 1] != LEAF:
-        return False
-    leaf_pos = sum(tree_leaves(t) for t in bottom[:index])
-    return leaf_pos in exposed_caret_positions(d.top)
-
-
-def _divisor_flags(d: CanonicalDiagram) -> tuple[bool, bool, bool, bool]:
-    return (
-        _right_divisible_fast(d, 0, 1),
-        _right_divisible_fast(d, 0, -1),
-        _right_divisible_fast(d, 1, 1),
-        _right_divisible_fast(d, 1, -1),
-    )
-
-
-def right_divisors(d: CanonicalDiagram) -> DivisorSet:
-    """Right divisor set among {X0, X0^-1, X1, X1^-1}."""
-    return DivisorSet(*_divisor_flags(d))
-
-
-def class_of(g: NormalForm) -> ClassLabel:
-    """The class M1 ... M7 of a group element."""
-    return right_divisors(nf_to_diagram(g)).label()
-
-
 _X0 = NormalForm((0,), ())
 _X0_INV = NormalForm((), (0,))
 _X1 = NormalForm((1,), ())
 _X1_INV = NormalForm((), (1,))
+
+
+def _letters(g: NormalForm) -> int:
+    return len(g.pos) + len(g.neg)
+
+
+def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
+    """Flags ordered (X0, X0^-1, X1, X1^-1): X_i^s divides g when the
+    normal form of g x_i^-s has one letter fewer than that of g."""
+    shorter = _letters(g) - 1
+    return tuple(
+        _letters(nf_multiply(g, probe)) == shorter
+        for probe in (_X0_INV, _X0, _X1_INV, _X1)
+    )
+
+
+def right_divisors(g: NormalForm) -> DivisorSet:
+    """Right divisor set among {X0, X0^-1, X1, X1^-1}."""
+    return DivisorSet(*_divisor_flags(g))
+
+
+def class_of(g: NormalForm) -> ClassLabel:
+    """The class M1 ... M7 of a group element."""
+    return right_divisors(g).label()
+
 
 # (name, applies-to classes, right factor, expected class)
 _CLOSURE_RULES = (
@@ -183,7 +173,7 @@ def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     admissible values.  Returns violation descriptions, expected empty."""
     violations: list[str] = []
     for g in sorted(elements, key=lambda nf: str(nf)):
-        flags = _divisor_flags(nf_to_diagram(g))
+        flags = _divisor_flags(g)
         if flags not in _LEGAL_DIVISOR_SETS:
             found = ", ".join(
                 name for name, flag in zip(_DIVISOR_NAMES, flags) if flag

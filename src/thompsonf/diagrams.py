@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import NormalForm
+from .words import NormalForm, ParseError
 
 Tree = tuple
 Forest = tuple
@@ -347,7 +347,8 @@ def nf_to_diagram(a: NormalForm) -> CanonicalDiagram:
     Equals the product of atomic(i, +1) over the positive indices in
     order followed by atomic(j, -1) over the negative indices in reverse
     order (tested against that literal fold); for a valid normal form no
-    dipole cancels, so the result has len(pos) + len(neg) cells.
+    dipole cancels (canonicalize rejects one), so the result has
+    len(pos) + len(neg) cells.
     """
     top = _forest_from_indices(a.pos)
     bottom = _forest_from_indices(a.neg)
@@ -356,7 +357,7 @@ def nf_to_diagram(a: NormalForm) -> CanonicalDiagram:
         top = top + (LEAF,) * (nb - nt)
     elif nb < nt:
         bottom = bottom + (LEAF,) * (nt - nb)
-    return canonicalize(reduce_dipoles(Diagram(top, bottom)))
+    return canonicalize(Diagram(top, bottom))
 
 
 def diagram_to_nf(d: CanonicalDiagram) -> NormalForm:
@@ -427,12 +428,8 @@ def parse_diagram(text: str) -> Diagram:
     try:
         top_text, bottom_text = text.split("|")
     except ValueError:
-        raise ParseErrorForDiagram(f"expected exactly one '|' in {text!r}") from None
+        raise ParseError(f"expected exactly one '|' in {text!r}") from None
     return Diagram(_parse_forest(top_text), _parse_forest(bottom_text))
-
-
-class ParseErrorForDiagram(ValueError):
-    pass
 
 
 def _parse_forest(text: str) -> Forest:
@@ -446,7 +443,7 @@ def _parse_forest(text: str) -> Forest:
 
 def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
     if pos >= len(text):
-        raise ParseErrorForDiagram("unexpected end of forest text")
+        raise ParseError("unexpected end of forest text")
     ch = text[pos]
     if ch == ".":
         return LEAF, pos + 1
@@ -454,9 +451,9 @@ def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
         left, pos = _parse_tree(text, pos + 1)
         right, pos = _parse_tree(text, pos)
         if pos >= len(text) or text[pos] != ")":
-            raise ParseErrorForDiagram(f"missing ')' at offset {pos}")
+            raise ParseError(f"missing ')' at offset {pos}")
         return (left, right), pos + 1
-    raise ParseErrorForDiagram(f"unexpected character {ch!r} at offset {pos}")
+    raise ParseError(f"unexpected character {ch!r} at offset {pos}")
 
 
 def _caret_arcs(forest: Forest) -> list[tuple[int, int]]:

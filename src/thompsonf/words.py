@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 
 class ParseError(ValueError):
-    """Raised when a word string does not match the grammar."""
+    """Raised when a word or diagram string does not match its grammar."""
 
 
 class Letter(NamedTuple):

@@ -6,7 +6,6 @@ from conftest import random_normal_form
 from thompsonf.classify import (
     ClassLabel,
     DivisorSet,
-    _right_divisible_fast,
     check_closures,
     check_partition,
     class_of,
@@ -73,28 +72,38 @@ class TestRightDivisible:
         assert not right_divisible(diagram("x2"), 3, 1)
 
     def test_fast_criterion_matches_oracle_on_ball(self):
-        # adoption condition for the structural shortcut: exact agreement
-        # with the padded-product oracle on ball(8)
+        # the normal-form length-drop flags agree exactly with the literal
+        # diagram oracle on ball(8)
         for g in ball(8):
             d = nf_to_diagram(g)
-            for i in (0, 1):
-                for s in (1, -1):
-                    assert _right_divisible_fast(d, i, s) == right_divisible(d, i, s)
+            oracle = tuple(
+                right_divisible(d, i, s) for i in (0, 1) for s in (1, -1)
+            )
+            assert right_divisors(g).flags() == oracle
 
     def test_fast_criterion_matches_oracle_random(self):
+        # the length-drop criterion holds for every index, not only for the
+        # two that classification probes
         rng = random.Random(83)
+        probes = {(i, s): nf(f"x{i}^{-s}") for i in (0, 1, 2, 3) for s in (1, -1)}
         for _ in range(10_000):
-            d = nf_to_diagram(random_normal_form(rng, max_len=20))
-            for i in (0, 1, 2, 3):
-                for s in (1, -1):
-                    assert _right_divisible_fast(d, i, s) == right_divisible(d, i, s)
+            g = random_normal_form(rng, max_len=20)
+            d = nf_to_diagram(g)
+            oracle = {key: right_divisible(d, *key) for key in probes}
+            assert right_divisors(g).flags() == tuple(
+                oracle[i, s] for i in (0, 1) for s in (1, -1)
+            )
+            shorter = len(g.pos) + len(g.neg) - 1
+            for key, probe in probes.items():
+                h = nf_multiply(g, probe)
+                assert (len(h.pos) + len(h.neg) == shorter) == oracle[key]
 
 
 class TestClassification:
     def test_divisor_set_examples(self):
-        assert right_divisors(diagram("x1 x2^-1")).members() == ()
-        assert right_divisors(diagram("x0 x1 x0^-1")).members() == ("X0^-1",)
-        assert right_divisors(diagram("x1 x5 x3^-2 x0^-2")).members() == (
+        assert right_divisors(nf("x1 x2^-1")).members() == ()
+        assert right_divisors(nf("x0 x1 x0^-1")).members() == ("X0^-1",)
+        assert right_divisors(nf("x1 x5 x3^-2 x0^-2")).members() == (
             "X0^-1",
             "X1^-1",
         )
@@ -127,8 +136,7 @@ class TestClassification:
         # whenever X0 divides, nothing else from the candidate set does
         rng = random.Random(97)
         for _ in range(500):
-            d = nf_to_diagram(random_normal_form(rng, max_len=14))
-            ds = right_divisors(d)
+            ds = right_divisors(random_normal_form(rng, max_len=14))
             if ds.x0:
                 assert ds.members() == ("X0",)
 

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import thompsonf
 from thompsonf.cli import run
 
 
@@ -29,6 +31,11 @@ class TestReduceClassifyDiagram:
         # classification happens after reduction
         code, out, _ = invoke(capsys, "classify", "x1 x1^-1")
         assert (code, out) == (0, "M1\n")
+
+    def test_classify_deep_word(self, capsys):
+        # classification builds no forest, so word depth meets no recursion limit
+        code, out, _ = invoke(capsys, "classify", "x0^2000")
+        assert (code, out) == (0, "M3\n")
 
     def test_diagram(self, capsys):
         code, out, _ = invoke(capsys, "diagram", "x0")
@@ -153,10 +160,16 @@ class TestErrors:
 
 
 def test_module_entry_point():
+    # the child must import the same package as this process, which pytest
+    # may have found through its own pythonpath setting
+    src = os.path.dirname(os.path.dirname(thompsonf.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "thompsonf", "reduce", "x1 x0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "x0 x2\n"

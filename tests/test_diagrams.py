@@ -24,7 +24,13 @@ from thompsonf.diagrams import (
     parse_diagram,
     reduce_dipoles,
 )
-from thompsonf.words import NormalForm, nf_multiply, parse_word, reduce_to_normal_form
+from thompsonf.words import (
+    NormalForm,
+    ParseError,
+    nf_multiply,
+    parse_word,
+    reduce_to_normal_form,
+)
 
 CARET = (LEAF, LEAF)
 
@@ -308,9 +314,9 @@ class TestSerialization:
             assert parsed == Diagram(d.top, d.bottom)
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_diagram("(..)..")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_diagram("(.|..")
 
     def test_dot_output_is_stable(self):
