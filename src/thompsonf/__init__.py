@@ -67,57 +67,3 @@ from .folner import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "IDENTITY",
-    "Letter",
-    "NormalForm",
-    "ParseError",
-    "Word",
-    "format_word",
-    "from_standard_word",
-    "nf_invert",
-    "nf_multiply",
-    "parse_word",
-    "reduce_to_normal_form",
-    "reduce_word_by_rewriting",
-    "to_standard_word",
-    "LEAF",
-    "CanonicalDiagram",
-    "Diagram",
-    "InvariantViolation",
-    "atomic",
-    "canonicalize",
-    "cells",
-    "concat_product",
-    "diagram_sum",
-    "diagram_to_dot",
-    "diagram_to_nf",
-    "epsilon",
-    "format_diagram",
-    "mirror",
-    "nf_to_diagram",
-    "parse_diagram",
-    "reduce_dipoles",
-    "ClassLabel",
-    "DivisorSet",
-    "check_closures",
-    "check_partition",
-    "class_of",
-    "right_divisible",
-    "right_divisors",
-    "DEFAULT_ELEMENT_LIMIT",
-    "GENERATORS",
-    "DeletionBoundReport",
-    "ElementSet",
-    "ResourceLimitError",
-    "SubgraphStats",
-    "ball",
-    "class_histogram",
-    "deletion_bound_check",
-    "drop_classes",
-    "mu_hat",
-    "subgraph_density",
-    "translate_set",
-    "__version__",
-]

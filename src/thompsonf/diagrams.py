@@ -1,19 +1,21 @@
 """Canonical diagrams for Thompson's group F as pairs of binary forests.
 
 A diagram is stored as a pair (top, bottom) of ordered forests of binary
-trees with equal leaf counts.  Trees are nested tuples: a leaf is the
-empty tuple and a caret is a pair (left, right).  The top forest splits
-the top boundary path down to the common interface, the bottom forest
+trees with equal leaf counts.  Each forest is its preorder string: a leaf
+is ".", a caret is "(" left right ")", and the trees of a forest are
+concatenated, so the forest of X_0 is "(..)".  The top forest splits the
+top boundary path down to the common interface, the bottom forest
 mirrors it back up; every caret is one cell.  A diagram whose top forest
 has p roots and bottom forest q roots runs from a path of p edges to one
-of q edges.
+of q edges.  The text form of a diagram is the two strings joined by "|".
 
 A pair is REDUCED when no interface position carries an exposed caret
-(one with two leaf children) in both forests; such a matched pair is a
-dipole and cancels.  A reduced pair is CANONICAL when the two forests do
-not additionally both end in a single-leaf tree; trailing matched edges
-are trimmed away, with the identity diagram epsilon(1) as the sole
-exception.  Canonical diagrams represent group elements uniquely.
+(one with two leaf children, the substring "(..)") in both forests; such
+a matched pair is a dipole and cancels.  A reduced pair is CANONICAL when
+the two forests do not additionally both end in a single-leaf tree (a
+final "."); trailing matched edges are trimmed away, with the identity
+diagram epsilon(1) as the sole exception.  Canonical diagrams represent
+group elements uniquely.
 
 Multiplication pads the narrower boundary with trivial edges, grows the
 two forests meeting at the glued path to their least common refinement
@@ -24,43 +26,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .words import NormalForm, ParseError
 
-Tree = tuple
-Forest = tuple
+Forest = str
 
-LEAF: Tree = ()
+LEAF: Forest = "."
+_CARET = "(..)"
 
 
 class InvariantViolation(RuntimeError):
     """An internal structural invariant failed; this always signals a bug."""
 
 
-def tree_leaves(t: Tree) -> int:
-    if not t:
-        return 1
-    return tree_leaves(t[0]) + tree_leaves(t[1])
+def _check_forest(forest) -> None:
+    """Raise unless `forest` is one or more binary trees in preorder."""
+    if not isinstance(forest, str):
+        raise ValueError(f"forests must be strings, got {type(forest).__name__}")
+    if not forest:
+        raise ValueError("forests must contain at least one tree")
+    children: list[int] = []  # finished subtrees of each open caret
+    for pos, ch in enumerate(forest):
+        if ch == ")":
+            if not children or children.pop() != 2:
+                raise ParseError(f"unexpected ')' at offset {pos}")
+        elif ch != "." and ch != "(":
+            raise ParseError(f"unexpected character {ch!r} at offset {pos}")
+        elif children and children[-1] == 2:
+            raise ParseError(f"missing ')' at offset {pos}")
+        elif ch == "(":
+            children.append(0)
+            continue
+        if children:
+            children[-1] += 1
+    if children:
+        raise ParseError("unexpected end of forest text")
 
 
-def forest_leaves(forest: Forest) -> int:
-    return sum(tree_leaves(t) for t in forest)
-
-
-def forest_cells(forest: Forest) -> int:
-    # every caret of a binary tree is one cell
-    return forest_leaves(forest) - len(forest)
-
-
-def _validate_tree(t) -> int:
-    """Check tuple shape and return the leaf count."""
-    if not isinstance(t, tuple):
-        raise ValueError(f"tree nodes must be tuples, got {type(t).__name__}")
-    if len(t) == 0:
-        return 1
-    if len(t) != 2:
-        raise ValueError("carets must have exactly two children")
-    return _validate_tree(t[0]) + _validate_tree(t[1])
+def _roots(forest: Forest) -> int:
+    # a binary tree has one more leaf than carets
+    return forest.count(LEAF) - forest.count("(")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +77,9 @@ class Diagram:
     bottom: Forest
 
     def __post_init__(self) -> None:
-        if not self.top or not self.bottom:
-            raise ValueError("forests must contain at least one tree")
-        top_leaves = sum(_validate_tree(t) for t in self.top)
-        bottom_leaves = sum(_validate_tree(t) for t in self.bottom)
+        _check_forest(self.top)
+        _check_forest(self.bottom)
+        top_leaves, bottom_leaves = self.top.count(LEAF), self.bottom.count(LEAF)
         if top_leaves != bottom_leaves:
             raise ValueError(
                 f"leaf counts differ: top has {top_leaves}, bottom {bottom_leaves}"
@@ -105,84 +110,47 @@ class CanonicalDiagram(Diagram):
         super().__post_init__()
         if _common_exposed(self.top, self.bottom):
             raise ValueError("diagram has a dipole and is not canonical")
-        if (
-            self.top[-1] == LEAF
-            and self.bottom[-1] == LEAF
-            and (len(self.top) > 1 or len(self.bottom) > 1)
-        ):
+        if self.top.endswith(LEAF) and self.bottom.endswith(LEAF) and self.top != LEAF:
             raise ValueError("diagram has a trailing common edge and is not canonical")
 
 
 def exposed_caret_positions(forest: Forest) -> list[int]:
     """Leaf positions k such that leaves k, k+1 are the children of one caret."""
     out: list[int] = []
-    base = 0
-    for t in forest:
-        base += _collect_exposed(t, base, out)
+    leaves = start = 0
+    pos = forest.find(_CARET)
+    while pos >= 0:
+        leaves += forest.count(LEAF, start, pos)
+        out.append(leaves)
+        start = pos
+        pos = forest.find(_CARET, pos + len(_CARET))
     return out
-
-
-def _collect_exposed(t: Tree, base: int, out: list[int]) -> int:
-    if not t:
-        return 1
-    left, right = t
-    nl = _collect_exposed(left, base, out)
-    nr = _collect_exposed(right, base + nl, out)
-    if not left and not right:
-        out.append(base)
-    return nl + nr
 
 
 def _common_exposed(top: Forest, bottom: Forest) -> set[int]:
     return set(exposed_caret_positions(top)) & set(exposed_caret_positions(bottom))
 
 
+def _cut_at_leaf(forest: Forest, k: int) -> tuple[str, str]:
+    """The text before and the text after leaf k."""
+    parts = forest.split(LEAF, k + 1)
+    if k < 0 or len(parts) < k + 2:
+        raise IndexError(f"leaf position {k} out of range")
+    return LEAF.join(parts[:-1]), parts[-1]
+
+
 def forest_split_leaf(forest: Forest, k: int) -> Forest:
     """Replace leaf k by a caret over two leaves."""
-    acc = 0
-    for idx, t in enumerate(forest):
-        n = tree_leaves(t)
-        if k < acc + n:
-            return forest[:idx] + (_split_tree(t, k - acc),) + forest[idx + 1 :]
-        acc += n
-    raise IndexError(f"leaf position {k} out of range")
-
-
-def _split_tree(t: Tree, k: int) -> Tree:
-    if not t:
-        return (LEAF, LEAF)
-    left, right = t
-    nl = tree_leaves(left)
-    if k < nl:
-        return (_split_tree(left, k), right)
-    return (left, _split_tree(right, k - nl))
+    head, tail = _cut_at_leaf(forest, k)
+    return head + _CARET + tail
 
 
 def forest_collapse_caret(forest: Forest, k: int) -> Forest:
     """Replace the exposed caret covering leaves k, k+1 by a single leaf."""
-    acc = 0
-    for idx, t in enumerate(forest):
-        n = tree_leaves(t)
-        if k < acc + n:
-            return forest[:idx] + (_collapse_tree(t, k - acc),) + forest[idx + 1 :]
-        acc += n
-    raise IndexError(f"leaf position {k} out of range")
-
-
-def _collapse_tree(t: Tree, k: int) -> Tree:
-    if not t:
-        raise InvariantViolation("no caret to collapse at a leaf")
-    left, right = t
-    if not left and not right:
-        if k != 0:
-            raise InvariantViolation("collapse position does not match the caret")
-        return LEAF
-    nl = tree_leaves(left)
-    if k + 1 < nl:
-        return (_collapse_tree(left, k), right)
-    if k >= nl:
-        return (left, _collapse_tree(right, k - nl))
-    raise InvariantViolation("positions k, k+1 are not children of one caret")
+    head, tail = _cut_at_leaf(forest, k)
+    if not (head.endswith("(") and tail.startswith(".)")):
+        raise InvariantViolation("positions k, k+1 are not children of one caret")
+    return head[:-1] + LEAF + tail[2:]
 
 
 # -- constructors -------------------------------------------------------------
@@ -194,8 +162,8 @@ def epsilon(k: int) -> Diagram:
     if k < 1:
         raise ValueError("the base path must have at least one edge")
     if k == 1:
-        return CanonicalDiagram((LEAF,), (LEAF,))
-    return Diagram((LEAF,) * k, (LEAF,) * k)
+        return CanonicalDiagram(LEAF, LEAF)
+    return Diagram(LEAF * k, LEAF * k)
 
 
 @lru_cache(maxsize=None)
@@ -206,8 +174,8 @@ def atomic(i: int, sign: int) -> CanonicalDiagram:
         raise ValueError("generator index must be non-negative")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    split = (LEAF,) * i + ((LEAF, LEAF),)
-    flat = (LEAF,) * (i + 2)
+    split = LEAF * i + _CARET
+    flat = LEAF * (i + 2)
     if sign > 0:
         return CanonicalDiagram(split, flat)
     return CanonicalDiagram(flat, split)
@@ -226,7 +194,7 @@ def diagram_sum(d1: Diagram, d2: Diagram) -> Diagram:
 
 def cells(d: Diagram) -> int:
     """Total number of cells, i.e. carets in both forests."""
-    return forest_cells(d.top) + forest_cells(d.bottom)
+    return d.top.count("(") + d.bottom.count("(")
 
 
 # -- reduction and the product ------------------------------------------------
@@ -246,43 +214,19 @@ def reduce_dipoles(d: Diagram) -> Diagram:
             bottom = forest_collapse_caret(bottom, k)
 
 
+def _trailing_leaves(forest: Forest) -> int:
+    return len(forest) - len(forest.rstrip(LEAF))
+
+
 def canonicalize(d: Diagram) -> CanonicalDiagram:
     """Trim the trailing single-leaf trees common to both forests.  The
     input must already be free of dipoles."""
     if _common_exposed(d.top, d.bottom):
         raise ValueError("cannot canonicalize a diagram that still has dipoles")
     top, bottom = d.top, d.bottom
-    while len(top) > 1 and top[-1] == LEAF and bottom[-1] == LEAF:
-        top = top[:-1]
-        bottom = bottom[:-1]
-    return CanonicalDiagram(top, bottom)
-
-
-def _first_disagreement(left: Forest, right: Forest):
-    """First preorder position where one forest has a leaf against the
-    other's caret.  Returns (0, k) when `left` holds the leaf at its leaf
-    index k, (1, k) when `right` does, or None when the forests agree."""
-    kl = kr = 0
-    for tl, tr in zip(left, right):
-        hit = _tree_disagreement(tl, tr, kl, kr)
-        if hit is not None:
-            return hit
-        kl += tree_leaves(tl)
-        kr += tree_leaves(tr)
-    return None
-
-
-def _tree_disagreement(a: Tree, b: Tree, ka: int, kb: int):
-    if not a and not b:
-        return None
-    if not a:
-        return (0, ka)
-    if not b:
-        return (1, kb)
-    hit = _tree_disagreement(a[0], b[0], ka, kb)
-    if hit is not None:
-        return hit
-    return _tree_disagreement(a[1], b[1], ka + tree_leaves(a[0]), kb + tree_leaves(b[0]))
+    # epsilon(k) keeps one edge, as the identity epsilon(1)
+    trim = min(_trailing_leaves(top), _trailing_leaves(bottom), len(top) - 1)
+    return CanonicalDiagram(top[: len(top) - trim], bottom[: len(bottom) - trim])
 
 
 def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
@@ -295,20 +239,25 @@ def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
     its forests); once the glued forests coincide they cancel against
     each other, leaving the outer pair, which is then reduced and
     trimmed.
+
+    Two forests with as many roots first differ, if at all, where one has
+    a leaf "." and the other a caret "("; the leaf index there is the
+    number of "." before it in either string.  A split leaves the text
+    before it unchanged, so the scan resumes where it stopped.
     """
-    q, s = len(d1.bottom), len(d2.top)
+    q, s = _roots(d1.bottom), _roots(d2.top)
     if q < s:
         d1 = diagram_sum(d1, epsilon(s - q))
     elif s < q:
         d2 = diagram_sum(d2, epsilon(q - s))
     t1, b1 = d1.top, d1.bottom
     t2, b2 = d2.top, d2.bottom
-    while True:
-        hit = _first_disagreement(b1, t2)
-        if hit is None:
-            break
-        side, k = hit
-        if side == 0:
+    pos = 0
+    while b1 != t2:
+        while b1[pos] == t2[pos]:
+            pos += 1
+        k = b1.count(LEAF, 0, pos)
+        if b1[pos] == LEAF:
             t1 = forest_split_leaf(t1, k)
             b1 = forest_split_leaf(b1, k)
         else:
@@ -324,21 +273,22 @@ def _forest_from_indices(indices: tuple[int, ...]) -> Forest:
     """Fold splitting cells over a trivial path: for each index i, pad the
     forest to at least i+1 leaves and split leaf i.  Equals the product of
     the positive atomic diagrams for `indices` read in order."""
-    trees: list[Tree] = [LEAF]
+    forest = LEAF
     nleaves = 1
     for i in indices:
-        while nleaves < i + 1:
-            trees.append(LEAF)
-            nleaves += 1
-        acc = 0
-        for idx, t in enumerate(trees):
-            n = tree_leaves(t)
-            if i < acc + n:
-                trees[idx] = _split_tree(t, i - acc)
-                break
-            acc += n
+        if nleaves < i + 1:
+            forest += LEAF * (i + 1 - nleaves)
+            nleaves = i + 1
+        head, tail = _cut_at_leaf(forest, i)
+        forest = head + _CARET + tail
         nleaves += 1
-    return tuple(trees)
+    return forest
+
+
+def _indices_from_forest(forest: Forest) -> tuple[int, ...]:
+    """Inverse of _forest_from_indices up to trailing leaves: every caret,
+    in preorder, is the index given by the number of leaves to its left."""
+    return tuple(accumulate(part.count(LEAF) for part in forest.split("(")))[:-1]
 
 
 def nf_to_diagram(a: NormalForm) -> CanonicalDiagram:
@@ -352,134 +302,71 @@ def nf_to_diagram(a: NormalForm) -> CanonicalDiagram:
     """
     top = _forest_from_indices(a.pos)
     bottom = _forest_from_indices(a.neg)
-    nt, nb = forest_leaves(top), forest_leaves(bottom)
+    nt, nb = top.count(LEAF), bottom.count(LEAF)
     if nt < nb:
-        top = top + (LEAF,) * (nb - nt)
+        top += LEAF * (nb - nt)
     elif nb < nt:
-        bottom = bottom + (LEAF,) * (nt - nb)
+        bottom += LEAF * (nt - nb)
     return canonicalize(Diagram(top, bottom))
 
 
 def diagram_to_nf(d: CanonicalDiagram) -> NormalForm:
     """Decompose a canonical diagram back into its normal form.
 
-    Negative atomic right divisors peel off first, always at the smallest
-    divisible index (the leftmost caret-rooted tree of the bottom
-    forest); positive divisors then peel at the largest divisible index
-    (the rightmost exposed caret of the top forest).  Each peel removes
-    exactly one cell, so the letter count equals the cell count.
+    The top forest spells the positive indices and the bottom forest the
+    negative ones, each read as the inverse of the fold in nf_to_diagram;
+    so the letter count equals the cell count.
     """
-    top = list(d.top)
-    bottom = list(d.bottom)
-    neg: list[int] = []
-    while True:
-        j = next((idx for idx, t in enumerate(bottom) if t != LEAF), None)
-        if j is None:
-            break
-        left, right = bottom[j]
-        bottom[j : j + 1] = [left, right]
-        neg.append(j)
-        _trim_in_place(top, bottom)
-    pos_reversed: list[int] = []
-    while True:
-        exposed = exposed_caret_positions(tuple(top))
-        if not exposed:
-            break
-        k = exposed[-1]
-        top = list(forest_collapse_caret(tuple(top), k))
-        del bottom[k]
-        pos_reversed.append(k)
-        _trim_in_place(top, bottom)
-    if top != [LEAF] or bottom != [LEAF]:
-        raise InvariantViolation(
-            "canonical diagram did not decompose into atomic factors"
-        )
     try:
-        return NormalForm(tuple(reversed(pos_reversed)), tuple(neg))
+        return NormalForm(
+            _indices_from_forest(d.top), _indices_from_forest(d.bottom)
+        )
     except ValueError as exc:
         raise InvariantViolation(
-            f"peeled letter sequence is not a normal form: {exc}"
+            f"diagram does not read as a normal form: {exc}"
         ) from exc
-
-
-def _trim_in_place(top: list, bottom: list) -> None:
-    while len(top) > 1 and top[-1] == LEAF and bottom[-1] == LEAF:
-        top.pop()
-        bottom.pop()
 
 
 # -- text and DOT serialization -----------------------------------------------
 
 
-def _tree_str(t: Tree) -> str:
-    if not t:
-        return "."
-    return "(" + _tree_str(t[0]) + _tree_str(t[1]) + ")"
-
-
 def format_diagram(d: Diagram) -> str:
     """Bit-exact text form: leaf ".", caret "(lr)", forests concatenated,
     top and bottom separated by "|" (X_0 reads "(..)|..")."""
-    return "".join(map(_tree_str, d.top)) + "|" + "".join(map(_tree_str, d.bottom))
+    return d.top + "|" + d.bottom
 
 
 def parse_diagram(text: str) -> Diagram:
     """Inverse of format_diagram."""
     try:
-        top_text, bottom_text = text.split("|")
+        top, bottom = text.split("|")
     except ValueError:
         raise ParseError(f"expected exactly one '|' in {text!r}") from None
-    return Diagram(_parse_forest(top_text), _parse_forest(bottom_text))
+    return Diagram(top, bottom)
 
 
-def _parse_forest(text: str) -> Forest:
-    trees: list[Tree] = []
-    pos = 0
-    while pos < len(text):
-        tree, pos = _parse_tree(text, pos)
-        trees.append(tree)
-    return tuple(trees)
-
-
-def _parse_tree(text: str, pos: int) -> tuple[Tree, int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of forest text")
-    ch = text[pos]
-    if ch == ".":
-        return LEAF, pos + 1
-    if ch == "(":
-        left, pos = _parse_tree(text, pos + 1)
-        right, pos = _parse_tree(text, pos)
-        if pos >= len(text) or text[pos] != ")":
-            raise ParseError(f"missing ')' at offset {pos}")
-        return (left, right), pos + 1
-    raise ParseError(f"unexpected character {ch!r} at offset {pos}")
-
-
-def _caret_arcs(forest: Forest) -> list[tuple[int, int]]:
-    """(first leaf, last leaf + 1) vertex span of every caret, preorder."""
-    arcs: list[tuple[int, int]] = []
-    base = 0
-    for t in forest:
-        base += _collect_arcs(t, base, arcs)
+def _caret_arcs(forest: Forest) -> list[list[int]]:
+    """[first leaf, last leaf + 1] vertex span of every caret, preorder."""
+    arcs: list[list[int]] = []
+    open_arcs: list[list[int]] = []
+    leaves = 0
+    for ch in forest:
+        if ch == "(":
+            arc = [leaves, 0]
+            arcs.append(arc)
+            open_arcs.append(arc)
+        elif ch == ")":
+            open_arcs.pop()[1] = leaves
+        else:
+            leaves += 1
     return arcs
-
-
-def _collect_arcs(t: Tree, base: int, arcs: list[tuple[int, int]]) -> int:
-    if not t:
-        return 1
-    n = tree_leaves(t)
-    arcs.append((base, base + n))
-    nl = _collect_arcs(t[0], base, arcs)
-    _collect_arcs(t[1], base + nl, arcs)
-    return n
 
 
 def diagram_to_dot(d: Diagram) -> str:
     """DOT rendering of the plane graph: interface vertices on a horizontal
     line, caret arcs of the top forest drawn above (blue), those of the
     bottom forest below (red)."""
-    n = forest_leaves(d.top)
+    n = d.top.count(LEAF)
     lines = [
         "graph diagram {",
         "  node [shape=point];",

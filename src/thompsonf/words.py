@@ -124,13 +124,17 @@ IDENTITY = NormalForm()
 
 _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
 
+# Longest word parse_word expands; reducing x0^10000 takes seconds.
+MAX_WORD_LETTERS = 10_000
+
 
 def parse_word(text: str) -> Word:
     """Parse whitespace-separated tokens `x<digits>` with optional
     `^<nonzero integer>` exponent; `e` or the empty string is the identity.
 
     Exponents expand into repeated letters, so `x0^-2` gives two copies of
-    x0^-1.  Raises ParseError naming the offending token and its position.
+    x0^-1.  Raises ParseError naming the offending token and its position,
+    also when the word would exceed MAX_WORD_LETTERS letters.
     """
     stripped = text.strip()
     if stripped in ("", "e"):
@@ -144,6 +148,11 @@ def parse_word(text: str) -> Word:
         exponent = 1 if m.group(2) is None else int(m.group(2))
         if exponent == 0:
             raise ParseError(f"zero exponent in token {token!r} at position {position}")
+        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"token {token!r} at position {position} makes the word longer "
+                f"than {MAX_WORD_LETTERS} letters"
+            )
         sign = 1 if exponent > 0 else -1
         letters.extend([Letter(index, sign)] * abs(exponent))
     return Word(tuple(letters))

@@ -41,6 +41,12 @@ class TestReduceClassifyDiagram:
         code, out, _ = invoke(capsys, "diagram", "x0")
         assert (code, out) == (0, "(..)|..\n")
 
+    def test_diagram_deep_word(self, capsys):
+        # forests are strings, so a deep comb meets no recursion limit
+        code, out, err = invoke(capsys, "diagram", "x0^2000")
+        expected = "(" * 2000 + "." + ".)" * 2000 + "|" + "." * 2001
+        assert (code, out, err) == (0, expected + "\n", "")
+
     def test_diagram_dot_file(self, capsys, tmp_path):
         path = tmp_path / "d.dot"
         code, out, _ = invoke(capsys, "diagram", "x2 x0^-1", "--dot", str(path))
@@ -134,6 +140,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ")
         assert "y2" in err
+
+    @pytest.mark.parametrize("word", ["x0^10001", "x0^5000 x1^5001"])
+    def test_word_over_letter_cap(self, capsys, word):
+        code, out, err = invoke(capsys, "reduce", word)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert word.split()[-1] in err
 
     def test_unknown_class_in_drop(self, capsys):
         code, _, err = invoke(capsys, "density", "1", "--drop", "M9")

@@ -32,7 +32,7 @@ from thompsonf.words import (
     reduce_to_normal_form,
 )
 
-CARET = (LEAF, LEAF)
+CARET = "(..)"
 
 
 def nf(text):
@@ -73,23 +73,23 @@ class TestEpsilonAndAtomic:
 class TestDiagramType:
     def test_leaf_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Diagram((CARET,), (LEAF,))
+            Diagram(CARET, LEAF)
 
     def test_empty_forest_rejected(self):
         with pytest.raises(ValueError):
-            Diagram((), (LEAF,))
+            Diagram("", LEAF)
 
     def test_canonical_rejects_dipole(self):
         with pytest.raises(ValueError, match="dipole"):
-            CanonicalDiagram((CARET,), (CARET,))
+            CanonicalDiagram(CARET, CARET)
 
     def test_canonical_rejects_trailing_edge(self):
         with pytest.raises(ValueError, match="trailing"):
-            CanonicalDiagram((CARET, LEAF), (LEAF, LEAF, LEAF))
+            CanonicalDiagram("(..).", "...")
 
     def test_equality_ignores_canonicality_class(self):
-        assert epsilon(1) == Diagram((LEAF,), (LEAF,))
-        assert atomic(0, 1) == Diagram((CARET,), (LEAF, LEAF))
+        assert epsilon(1) == Diagram(LEAF, LEAF)
+        assert atomic(0, 1) == Diagram(CARET, "..")
 
 
 class TestSumAndMirror:
@@ -137,7 +137,7 @@ class TestSumAndMirror:
 
 class TestDipoleReduction:
     def test_single_dipole(self):
-        assert reduce_dipoles(Diagram((CARET,), (CARET,))) == Diagram((LEAF,), (LEAF,))
+        assert reduce_dipoles(Diagram(CARET, CARET)) == Diagram(LEAF, LEAF)
 
     def test_canonical_diagrams_are_fixed(self):
         rng = random.Random(41)
@@ -167,11 +167,7 @@ class TestDipoleReduction:
 
 
 def _leaves(forest):
-    return sum(_tree_leaves(t) for t in forest)
-
-
-def _tree_leaves(t):
-    return 1 if not t else _tree_leaves(t[0]) + _tree_leaves(t[1])
+    return forest.count(LEAF)
 
 
 def _reduce_one_at_a_time(d, pick_last):
@@ -199,7 +195,7 @@ class TestCanonicalize:
 
     def test_rejects_dipoles(self):
         with pytest.raises(ValueError, match="dipole"):
-            canonicalize(Diagram((CARET,), (CARET,)))
+            canonicalize(Diagram(CARET, CARET))
 
 
 class TestProduct:
