@@ -18,7 +18,10 @@ against.
 
 `check_partition` and `check_closures` verify, on a finite set of
 elements, that no other divisor set occurs and that right multiplication
-by the generators moves the classes the way it should.
+by the generators moves the classes the way it should.  A set that can
+read the flags from a Cayley graph (a `folner.ElementSet` drawn from a
+built ball) hands them over through its `divisor_rows` method, so the
+checkers then compute no product inside the ball.
 """
 
 from __future__ import annotations
@@ -147,6 +150,19 @@ _CLOSURE_RULES = (
 )
 
 
+def _divisor_rows(elements: Iterable[NormalForm]):
+    """(element, divisor flags, flags of element * factor as a function of
+    the factor) for every element, ordered by formatted normal form."""
+    supply = getattr(elements, "divisor_rows", None)
+    rows = None if supply is None else supply()
+    if rows is None:
+        rows = (
+            (g, _divisor_flags(g), lambda factor, g=g: _divisor_flags(nf_multiply(g, factor)))
+            for g in sorted(elements, key=str)
+        )
+    return rows
+
+
 def check_closures(elements: Iterable[NormalForm]) -> list[str]:
     """Check the four class-closure inclusions on every element.
 
@@ -154,12 +170,12 @@ def check_closures(elements: Iterable[NormalForm]) -> list[str]:
     an empty list means every inclusion held.
     """
     violations: list[str] = []
-    for g in sorted(elements, key=lambda nf: str(nf)):
-        cls = class_of(g)
+    for g, flags, product_flags in _divisor_rows(elements):
+        cls = DivisorSet(*flags).label()
         for rule_name, sources, factor, expected in _CLOSURE_RULES:
             if cls not in sources:
                 continue
-            got = class_of(nf_multiply(g, factor))
+            got = DivisorSet(*product_flags(factor)).label()
             if got is not expected:
                 violations.append(
                     f"{g}: rule {rule_name} failed, element is {cls} but the "
@@ -172,8 +188,7 @@ def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     """Check that every element's divisor set is one of the seven
     admissible values.  Returns violation descriptions, expected empty."""
     violations: list[str] = []
-    for g in sorted(elements, key=lambda nf: str(nf)):
-        flags = _divisor_flags(g)
+    for g, flags, _ in _divisor_rows(elements):
         if flags not in _LEGAL_DIVISOR_SETS:
             found = ", ".join(
                 name for name, flag in zip(_DIVISOR_NAMES, flags) if flag

@@ -141,10 +141,13 @@ def _cmd_histogram(args) -> int:
     return 0
 
 
-def _check_lemma_del(s, samples: int, seed: int) -> list[str]:
+def _check_lemma_del(s, samples: int, seed: int) -> tuple[list[str], int]:
+    """Violations of the advertised 4|K| bound, and the number of trials
+    that broke the corrected 8|K| bound as well."""
     rng = random.Random(seed)
     pool = s.sorted_members()
     violations = []
+    corrected = 0
     for trial in range(samples):
         size = rng.randint(1, len(pool))
         subset = folner.ElementSet.of(rng.sample(pool, size))
@@ -157,7 +160,8 @@ def _check_lemma_del(s, samples: int, seed: int) -> list[str]:
                 f"trial {trial}: density {report.density_after} fell below "
                 f"bound {report.bound}"
             )
-    return violations
+        corrected += not report.corrected_holds
+    return violations, corrected
 
 
 def _cmd_check(args) -> int:
@@ -167,9 +171,11 @@ def _cmd_check(args) -> int:
     elif args.which == "closures":
         violations = check_closures(s)
     else:
-        violations = _check_lemma_del(s, args.samples, args.seed)
+        violations, corrected = _check_lemma_del(s, args.samples, args.seed)
     for line in violations:
         print(line)
+    if args.which == "lemma-del":
+        print(f"corrected bound density - 8|K|/|S|: {corrected} violations")
     print(
         f"check {args.which}: {len(violations)} violations "
         f"(radius {args.radius}, {len(s)} elements)"

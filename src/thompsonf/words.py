@@ -71,7 +71,7 @@ class Word:
         return format_word(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalForm:
     """The unique normal form of a group element.
 
@@ -126,6 +126,9 @@ _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
 
 # Longest word parse_word expands; reducing x0^10000 takes seconds.
 MAX_WORD_LETTERS = 10_000
+# Largest generator index parse_word accepts; a diagram of x_n has forests
+# n + 2 leaves wide, so the cap also bounds what `diagram` prints.
+MAX_GENERATOR_INDEX = 10_000
 
 
 def parse_word(text: str) -> Word:
@@ -134,7 +137,8 @@ def parse_word(text: str) -> Word:
 
     Exponents expand into repeated letters, so `x0^-2` gives two copies of
     x0^-1.  Raises ParseError naming the offending token and its position,
-    also when the word would exceed MAX_WORD_LETTERS letters.
+    also when an index exceeds MAX_GENERATOR_INDEX or the word would
+    exceed MAX_WORD_LETTERS letters.
     """
     stripped = text.strip()
     if stripped in ("", "e"):
@@ -145,6 +149,11 @@ def parse_word(text: str) -> Word:
         if m is None:
             raise ParseError(f"malformed token {token!r} at position {position}")
         index = int(m.group(1))
+        if index > MAX_GENERATOR_INDEX:
+            raise ParseError(
+                f"generator index in token {token!r} at position {position} "
+                f"exceeds {MAX_GENERATOR_INDEX}"
+            )
         exponent = 1 if m.group(2) is None else int(m.group(2))
         if exponent == 0:
             raise ParseError(f"zero exponent in token {token!r} at position {position}")

@@ -127,6 +127,15 @@ class TestCheck:
         assert code == (1 if count else 0)
         assert f"{count} violations" in summary
 
+    def test_lemma_del_counts_corrected_bound_violations(self, capsys):
+        _, out, _ = invoke(
+            capsys, "check", "lemma-del", "--radius", "2",
+            "--samples", "50", "--seed", "0",
+        )
+        assert out.splitlines()[-2] == (
+            "corrected bound density - 8|K|/|S|: 0 violations"
+        )
+
     def test_seeded_check_is_reproducible(self, capsys):
         args = ("check", "lemma-del", "--radius", "2", "--samples", "20",
                 "--seed", "7")
@@ -148,6 +157,20 @@ class TestErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert word.split()[-1] in err
+
+    @pytest.mark.parametrize("verb", ["reduce", "diagram"])
+    def test_generator_index_over_cap(self, capsys, verb):
+        code, out, err = invoke(capsys, verb, "x0 x10001")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "x10001" in err
+
+    def test_generator_index_at_cap(self, capsys):
+        assert invoke(capsys, "reduce", "x10000") == (0, "x10000\n", "")
+        code, out, _ = invoke(capsys, "diagram", "x10000")
+        assert code == 0
+        assert out.count(".") == 2 * 10002
 
     def test_unknown_class_in_drop(self, capsys):
         code, _, err = invoke(capsys, "density", "1", "--drop", "M9")

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_normal_form
-from thompsonf.classify import ClassLabel
+from thompsonf import folner
+from thompsonf.classify import ClassLabel, class_of, right_divisors
 from thompsonf.folner import (
+    DEFAULT_ELEMENT_LIMIT,
     GENERATORS,
     DeletionBoundReport,
     ElementSet,
@@ -22,6 +24,7 @@ from thompsonf.folner import (
     subgraph_density,
     subgraph_dot,
     translate_set,
+    _ball_members,
 )
 from thompsonf.words import NormalForm, nf_multiply, parse_word, reduce_to_normal_form
 
@@ -178,6 +181,131 @@ class TestSetOperations:
         assert nf("e") in meet
 
 
+def oracle_edge_count(s):
+    """Edge count through nf_multiply, whichever way s is stored."""
+    members = frozenset(s)
+    return sum(nf_multiply(v, g) in members for v in members for g in GENERATORS)
+
+
+class TestCayleyBall:
+    """The interned ball against the nf_multiply and class_of oracles."""
+
+    def test_columns_match_nf_multiply(self):
+        graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
+        inside = set(graph.elements)
+        starts = graph.sphere_starts
+        radius = [r for r in range(len(starts) - 1) for _ in range(starts[r], starts[r + 1])]
+        assert len(radius) == len(graph.elements) == 11237
+        for u, v in enumerate(graph.elements):
+            for k, g in enumerate(GENERATORS):
+                w = nf_multiply(v, g)
+                j = graph.columns[k][u]
+                assert (j < 0) == (w not in inside)
+                if j >= 0:
+                    assert graph.elements[j] == w
+                    # no edge joins two elements of one sphere
+                    assert abs(radius[j] - radius[u]) == 1
+
+    def test_flags_match_class_of(self):
+        graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
+        flags = graph.flags()
+        for u, v in enumerate(graph.elements):
+            assert folner._FLAGS[flags[u]] == right_divisors(v).flags()
+        expected = {label: 0 for label in ClassLabel}
+        for v in graph.elements:
+            expected[class_of(v)] += 1
+        assert class_histogram(ball(8)) == expected
+
+    def test_sorted_members_order(self):
+        rng = random.Random(137)
+        pool = list(ball(6))
+        assert ball(8).sorted_members() == sorted(ball(8), key=str)
+        for _ in range(20):
+            s = ElementSet.of(rng.sample(pool, rng.randint(0, len(pool))))
+            assert s.sorted_members() == sorted(s.members, key=str)
+
+    def test_density_matches_oracle_on_ball_subsets(self):
+        rng = random.Random(139)
+        pool = ball(6).sorted_members()
+        images = {v: [nf_multiply(v, g) for g in GENERATORS] for v in pool}
+        for _ in range(200):
+            subset = rng.sample(pool, rng.randint(1, len(pool)))
+            members = frozenset(subset)
+            edges = sum(w in members for v in subset for w in images[v])
+            assert subgraph_density(ElementSet.of(subset)).oriented_edge_count == edges
+
+    def test_density_matches_oracle_off_every_ball(self):
+        rng = random.Random(149)
+        outside = ElementSet.of([nf("x0^40")]) | ball(3)
+        assert outside._graph is None
+        sets = [outside, ball(3) | ElementSet.of([nf("x0^9")])]
+        sets += [translate_set(ball(3), random_normal_form(rng, max_len=12)) for _ in range(5)]
+        for s in sets:
+            assert subgraph_density(s).oriented_edge_count == oracle_edge_count(s)
+            assert s.sorted_members() == sorted(s.members, key=str)
+
+    def test_set_operations_match_frozensets(self):
+        rng = random.Random(151)
+        pool = ball(4).sorted_members()
+        far = ElementSet.of([nf("x0^40"), pool[0]])
+        for _ in range(30):
+            a = ElementSet.of(rng.sample(pool, rng.randint(0, len(pool))))
+            b = ElementSet.of(rng.sample(pool, rng.randint(0, len(pool))))
+            for x, y in ((a, b), (a, far), (far, b)):
+                assert (x & y).members == x.members & y.members
+                assert (x | y).members == x.members | y.members
+                assert (x - y).members == x.members - y.members
+                assert (x <= y) == (x.members <= y.members)
+                assert len(x - y) == len(x.members - y.members)
+            assert a & b <= a
+
+    def test_drop_classes_matches_class_of(self):
+        s = ball(6)
+        dropped = [ClassLabel.M1, ClassLabel.M6]
+        expected = {v for v in s if class_of(v) not in dropped}
+        assert set(drop_classes(s, dropped)) == expected
+        assert set(drop_classes(ElementSet(frozenset(s)), dropped)) == expected
+
+
+class TestProductCounts:
+    """The graph paths do no group arithmetic once the ball is built."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return nf_multiply(a, b)
+
+        monkeypatch.setattr(folner, "nf_multiply", counting)
+        return calls
+
+    def test_bfs_skips_known_edges(self, counter):
+        _ball_members.cache_clear()
+        ball(8)
+        # one product per edge from sphere r to sphere r + 1, r < 8
+        assert len(counter) == 11720
+
+    def test_density_and_deletion_check_make_no_products(self, counter):
+        _ball_members.cache_clear()
+        ball(6)
+        ball(8)
+        counter.clear()
+        assert subgraph_density(ball(8)).oriented_edge_count == 23440
+        rng = random.Random(157)
+        pool = ball(6).sorted_members()
+        for _ in range(50):
+            size = rng.randint(1, len(pool))
+            s = ElementSet.of(rng.sample(pool, size))
+            k = ElementSet.of(rng.sample(s.sorted_members(), rng.randint(0, size - 1)))
+            deletion_bound_check(s, k)
+        assert counter == []
+        # the counter does see the nf_multiply path
+        subgraph_density(ElementSet(frozenset(pool)))
+        assert len(counter) == 4 * len(pool)
+
+
 class TestDeletionBound:
     def test_formula_on_ball_one(self):
         report = deletion_bound_check(ball(1), ElementSet.of([nf("x1")]))
@@ -218,6 +346,20 @@ class TestDeletionBound:
             # deleting a vertex loses at most 8 oriented edges (4 out, 4 in),
             # so this bound, unlike the advertised one, never fails
             assert after.density >= before.density - Fraction(8 * len(k), len(s))
+
+    def test_corrected_bound_fields(self):
+        report = deletion_bound_check(ball(1), ElementSet.of([nf("e")]))
+        assert report.corrected_bound == 0
+        assert report.corrected_holds and not report.holds
+        rng = random.Random(163)
+        pool = ball(4).sorted_members()
+        for _ in range(100):
+            size = rng.randint(1, len(pool))
+            s = ElementSet.of(rng.sample(pool, size))
+            k = ElementSet.of(rng.sample(s.sorted_members(), rng.randint(0, size - 1)))
+            report = deletion_bound_check(s, k)
+            assert report.corrected_bound == report.density_before - Fraction(8 * len(k), len(s))
+            assert report.corrected_holds
 
     def test_holds_when_deleted_vertices_have_low_degree(self):
         # the advertised bound is sound when each deleted vertex carries
