@@ -10,18 +10,31 @@ into classes M1 ... M7:
     M5  {X1}          M6  {X0^-1, X1^-1}                   M7  {X0^-1, X1}
 
 The cells of a canonical diagram are in bijection with the letters of
-its normal form, so a class is read from normal forms alone: X_i^s
-divides g exactly when the normal form of g x_i^-s is one letter shorter
-than that of g.  `right_divisible` applies the definition literally to a
-diagram and is kept as the oracle the normal-form criterion is tested
-against.
+its normal form, so X_i^s divides g exactly when the normal form of
+g x_i^-s is one letter shorter than that of g.  `_divisor_flags` reads
+that off the normal form x_{i_1}..x_{i_s} x_{j_t}^-1..x_{j_1}^-1 of g
+(pos = i's, neg = j's, both ascending) in one pass, with no product:
+
+    X0^-1  divides iff neg starts with 0;
+    X1^-1  divides iff k is in neg;
+    X0     divides iff 0 is in pos and 1 is in neither pos nor neg;
+    X1     divides iff k is in pos and k+1 is in neither pos nor neg;
+
+where k starts at 1 and grows by one for each leading j of neg below it.
+This is `words._times_positive` and `_times_negative` on x1 (and on x0,
+whose walk stops at once): a right factor x1 moves left through neg,
+passing each smaller index and bumping its own, and cancels exactly when
+it meets k; otherwise it lands in pos and adds a letter, and no
+x_m..x_m^-1 pair appears for `_repair` to remove.  A right factor x1^-1
+is sorted into neg at k and adds a letter, unless it closes a pair with
+an x_k in pos that `_repair` removes, which needs x_{k+1}^{+-1} absent;
+that removal leaves no further pair, so the letter count drops by one.
+`right_divisible` applies the definition literally to a diagram and is
+kept as the oracle this rule is tested against.
 
 `check_partition` and `check_closures` verify, on a finite set of
 elements, that no other divisor set occurs and that right multiplication
-by the generators moves the classes the way it should.  A set that can
-read the flags from a Cayley graph (a `folner.ElementSet` drawn from a
-built ball) hands them over through its `divisor_rows` method, so the
-checkers then compute no product inside the ball.
+by the generators moves the classes the way it should.
 """
 
 from __future__ import annotations
@@ -115,18 +128,20 @@ _X1 = NormalForm((1,), ())
 _X1_INV = NormalForm((), (1,))
 
 
-def _letters(g: NormalForm) -> int:
-    return len(g.pos) + len(g.neg)
-
-
 def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
-    """Flags ordered (X0, X0^-1, X1, X1^-1): X_i^s divides g when the
-    normal form of g x_i^-s has one letter fewer than that of g."""
-    shorter = _letters(g) - 1
-    return tuple(
-        _letters(nf_multiply(g, probe)) == shorter
-        for probe in (_X0_INV, _X0, _X1_INV, _X1)
-    )
+    """Flags ordered (X0, X0^-1, X1, X1^-1), by the rule in the module
+    docstring."""
+    pos, neg = g.pos, g.neg
+    k = 1
+    for j in neg:
+        if j >= k:
+            break
+        k += 1
+
+    def closes_pair(i: int) -> bool:
+        return i in pos and i + 1 not in pos and i + 1 not in neg
+
+    return (closes_pair(0), neg[:1] == (0,), closes_pair(k), k in neg)
 
 
 def right_divisors(g: NormalForm) -> DivisorSet:
@@ -150,19 +165,6 @@ _CLOSURE_RULES = (
 )
 
 
-def _divisor_rows(elements: Iterable[NormalForm]):
-    """(element, divisor flags, flags of element * factor as a function of
-    the factor) for every element, ordered by formatted normal form."""
-    supply = getattr(elements, "divisor_rows", None)
-    rows = None if supply is None else supply()
-    if rows is None:
-        rows = (
-            (g, _divisor_flags(g), lambda factor, g=g: _divisor_flags(nf_multiply(g, factor)))
-            for g in sorted(elements, key=str)
-        )
-    return rows
-
-
 def check_closures(elements: Iterable[NormalForm]) -> list[str]:
     """Check the four class-closure inclusions on every element.
 
@@ -170,12 +172,12 @@ def check_closures(elements: Iterable[NormalForm]) -> list[str]:
     an empty list means every inclusion held.
     """
     violations: list[str] = []
-    for g, flags, product_flags in _divisor_rows(elements):
-        cls = DivisorSet(*flags).label()
+    for g in sorted(elements, key=str):
+        cls = class_of(g)
         for rule_name, sources, factor, expected in _CLOSURE_RULES:
             if cls not in sources:
                 continue
-            got = DivisorSet(*product_flags(factor)).label()
+            got = class_of(nf_multiply(g, factor))
             if got is not expected:
                 violations.append(
                     f"{g}: rule {rule_name} failed, element is {cls} but the "
@@ -188,7 +190,8 @@ def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     """Check that every element's divisor set is one of the seven
     admissible values.  Returns violation descriptions, expected empty."""
     violations: list[str] = []
-    for g, flags, _ in _divisor_rows(elements):
+    for g in sorted(elements, key=str):
+        flags = _divisor_flags(g)
         if flags not in _LEGAL_DIVISOR_SETS:
             found = ", ".join(
                 name for name, flag in zip(_DIVISOR_NAMES, flags) if flag

@@ -15,8 +15,9 @@ of that of a larger one.  Four `array('i')` columns, one per generator in
 GENERATORS order, hold the number of v*g for every element v, or -1 for
 an edge the BFS did not record.  Each product u*g = w the BFS computes
 fills both directions (w*g^-1 = u), and the BFS skips the edges it
-already knows.  Sort ranks and divisor flags are derived once per ball,
-on first use.
+already knows.  Sort ranks and divisor flags (classify's rule, read off
+each normal form with no product) are derived once per ball, on first
+use.
 
 Why -1 means "outside the ball": the exponent sum is a homomorphism from
 F to the integers (every relation x_j x_i = x_i x_{j+1} has two letters
@@ -31,10 +32,10 @@ outside the ball.
 A set drawn from a built ball (`ball`, `ElementSet.of` on elements of a
 ball, and what set operations and `drop_classes` derive from those) is a
 byte mask over the ball's numbering, so densities, classes, deletion
-checks and sort orders read columns and masks instead of multiplying
-normal forms.  A set with an element outside every built ball keeps a
-frozenset and the `nf_multiply` path, which is also the oracle the graph
-path is tested against.
+checks and sort orders read columns, flags and masks instead of
+multiplying normal forms.  A set with an element outside every built
+ball keeps a frozenset and the `nf_multiply` path, which is also the
+oracle the graph path is tested against.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .classify import ClassLabel, DivisorSet, class_of, right_divisors
+from .classify import ClassLabel, DivisorSet, _divisor_flags, class_of
 from .words import NormalForm, nf_multiply
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
@@ -61,18 +62,14 @@ GENERATORS: tuple[NormalForm, ...] = (
     NormalForm((1,), ()),
     NormalForm((), (1,)),
 )
-_COLUMN = {g: k for k, g in enumerate(GENERATORS)}
 
 # divisor flags (X0, X0^-1, X1, X1^-1) of every 4-bit value, bit f for flag f
 _FLAGS = [tuple(bool(bits >> f & 1) for f in range(4)) for bits in range(16)]
+_BITS = {flags: bits for bits, flags in enumerate(_FLAGS)}
 
 
 class ResourceLimitError(RuntimeError):
     """Raised when a ball would exceed the configured element limit."""
-
-
-def _sort_key(nf: NormalForm) -> str:
-    return str(nf)
 
 
 def _label(bits: int) -> ClassLabel:
@@ -135,33 +132,10 @@ class _CayleyBall:
 
     def flags(self) -> bytes:
         """Divisor flags of every element as bits (1 X0, 2 X0^-1, 4 X1,
-        8 X1^-1), by classify's criterion: X_i^s divides v when v x_i^-s
-        has one letter fewer than v.  Column k holds v*GENERATORS[k], the
-        probe of flag k ^ 1; only neighbours outside the ball need a
-        product."""
+        8 X1^-1), by classify's rule on each normal form."""
         if self._flags is None:
-            elements = self.elements
-            letters = [len(v.pos) + len(v.neg) for v in elements]
-            flags = bytearray(len(elements))
-            for k, column in enumerate(self.columns):
-                bit = 1 << (k ^ 1)
-                for u, w in enumerate(column):
-                    if w >= 0:
-                        probe_letters = letters[w]
-                    else:
-                        p = nf_multiply(elements[u], GENERATORS[k])
-                        probe_letters = len(p.pos) + len(p.neg)
-                    if probe_letters == letters[u] - 1:
-                        flags[u] |= bit
-            self._flags = bytes(flags)
+            self._flags = bytes(_BITS[_divisor_flags(v)] for v in self.elements)
         return self._flags
-
-    def product_flags(self, u: int, factor: NormalForm) -> tuple[bool, ...]:
-        """Divisor flags of element u times a generator."""
-        w = self.columns[_COLUMN[factor]][u]
-        if w >= 0:
-            return _FLAGS[self.flags()[w]]
-        return right_divisors(nf_multiply(self.elements[u], factor)).flags()
 
 
 # every completed ball still referenced, by the cache or by a set
@@ -233,9 +207,6 @@ class ElementSet:
     def _numbers(self) -> Iterator[int]:
         return compress(range(len(self._graph.elements)), self._mask)
 
-    def _sorted_numbers(self) -> list[int]:
-        return sorted(self._numbers(), key=self._graph.rank().__getitem__)
-
     def _operands(self, other: "ElementSet"):
         """Both masks as ints (byte i of the int is byte i of the mask)
         when the sets share a ball, else both frozensets; `&`, `|`, `^`
@@ -291,20 +262,9 @@ class ElementSet:
         """Members ordered by formatted normal form; the order every
         output format uses."""
         if self._graph is None:
-            return sorted(self._members, key=_sort_key)
-        elements = self._graph.elements
-        return [elements[u] for u in self._sorted_numbers()]
-
-    def divisor_rows(self):
-        """For classify's checkers: (member, divisor flags, flags of member
-        times a generator) in sorted order, read from the ball; None when
-        the set is not drawn from a built ball."""
-        graph = self._graph
-        if graph is None:
-            return None
-        flags = graph.flags()
-        return ((graph.elements[u], _FLAGS[flags[u]], partial(graph.product_flags, u))
-                for u in self._sorted_numbers())
+            return sorted(self._members, key=str)
+        elements, rank = self._graph.elements, self._graph.rank()
+        return [elements[u] for u in sorted(self._numbers(), key=rank.__getitem__)]
 
     def _image(self, v: NormalForm, k: int) -> NormalForm | None:
         """v * GENERATORS[k] when it lies in the set, else None."""

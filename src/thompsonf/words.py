@@ -122,13 +122,24 @@ class NormalForm:
 
 IDENTITY = NormalForm()
 
-_TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?\Z")
+_TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?)(\d+))?\Z")
 
 # Longest word parse_word expands; reducing x0^10000 takes seconds.
 MAX_WORD_LETTERS = 10_000
 # Largest generator index parse_word accepts; a diagram of x_n has forests
 # n + 2 leaves wide, so the cap also bounds what `diagram` prints.
 MAX_GENERATOR_INDEX = 10_000
+
+
+def _capped(digits: str, cap: int) -> int | None:
+    """The value of `digits`, or None when it exceeds `cap`.  The digits
+    before the last len(str(cap)) are read one at a time and must all be
+    zeros: `int` refuses over 4300 digits with a message naming no token."""
+    width = len(str(cap))
+    if any(map(int, digits[:-width])):
+        return None
+    value = int(digits[-width:])
+    return value if value <= cap else None
 
 
 def parse_word(text: str) -> Word:
@@ -148,22 +159,21 @@ def parse_word(text: str) -> Word:
         m = _TOKEN_RE.match(token)
         if m is None:
             raise ParseError(f"malformed token {token!r} at position {position}")
-        index = int(m.group(1))
-        if index > MAX_GENERATOR_INDEX:
+        index = _capped(m.group(1), MAX_GENERATOR_INDEX)
+        if index is None:
             raise ParseError(
                 f"generator index in token {token!r} at position {position} "
                 f"exceeds {MAX_GENERATOR_INDEX}"
             )
-        exponent = 1 if m.group(2) is None else int(m.group(2))
-        if exponent == 0:
+        count = 1 if m.group(3) is None else _capped(m.group(3), MAX_WORD_LETTERS)
+        if count == 0:
             raise ParseError(f"zero exponent in token {token!r} at position {position}")
-        if len(letters) + abs(exponent) > MAX_WORD_LETTERS:
+        if count is None or len(letters) + count > MAX_WORD_LETTERS:
             raise ParseError(
                 f"token {token!r} at position {position} makes the word longer "
                 f"than {MAX_WORD_LETTERS} letters"
             )
-        sign = 1 if exponent > 0 else -1
-        letters.extend([Letter(index, sign)] * abs(exponent))
+        letters.extend([Letter(index, -1 if m.group(2) else 1)] * count)
     return Word(tuple(letters))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from thompsonf.classify import (
 )
 from thompsonf.diagrams import InvariantViolation, epsilon, nf_to_diagram
 from thompsonf.folner import ball
-from thompsonf.words import nf_multiply, parse_word, reduce_to_normal_form
+from thompsonf.words import NormalForm, nf_multiply, parse_word, reduce_to_normal_form
 
 
 def nf(text):
@@ -97,6 +98,53 @@ class TestRightDivisible:
             for key, probe in probes.items():
                 h = nf_multiply(g, probe)
                 assert (len(h.pos) + len(h.neg) == shorter) == oracle[key]
+
+
+# g x_i^-s for the flags (X0, X0^-1, X1, X1^-1) in order
+MIRRORED_PROBES = (nf("x0^-1"), nf("x0"), nf("x1^-1"), nf("x1"))
+
+
+def length_drop_flags(g):
+    """Divisor flags by definition on normal forms: X_i^s divides g when
+    g x_i^-s has one letter fewer than g."""
+    shorter = len(g.pos) + len(g.neg) - 1
+    return tuple(
+        len(h.pos) + len(h.neg) == shorter
+        for h in (nf_multiply(g, probe) for probe in MIRRORED_PROBES)
+    )
+
+
+def small_normal_forms(most=4, indices=range(7)):
+    """Every valid normal form whose halves hold at most `most` indices
+    from `indices`."""
+    halves = [
+        half
+        for size in range(most + 1)
+        for half in itertools.combinations_with_replacement(indices, size)
+    ]
+    for pos in halves:
+        for neg in halves:
+            try:
+                yield NormalForm(pos, neg)
+            except ValueError:
+                pass
+
+
+class TestDirectRule:
+    """The one-pass rule on pos/neg against the length-drop definition."""
+
+    def test_matches_length_drop_on_ball(self):
+        elements = list(ball(10))
+        assert len(elements) == 88253
+        for g in elements:
+            assert right_divisors(g).flags() == length_drop_flags(g), g
+
+    def test_matches_length_drop_on_small_normal_forms(self):
+        count = 0
+        for g in small_normal_forms():
+            assert right_divisors(g).flags() == length_drop_flags(g), g
+            count += 1
+        assert count == 60179
 
 
 class TestClassification:

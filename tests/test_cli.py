@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thompsonf
 from thompsonf.cli import run
+from thompsonf.words import MAX_GENERATOR_INDEX, MAX_WORD_LETTERS
 
 
 def invoke(capsys, *argv):
@@ -166,6 +171,25 @@ class TestErrors:
         assert err.count("\n") == 1
         assert "x10001" in err
 
+    @pytest.mark.parametrize(
+        "verb, word", [("reduce", "x0^" + "1" * 5000), ("diagram", "x" + "9" * 5000)]
+    )
+    def test_digits_beyond_int_conversion_limit(self, capsys, verb, word):
+        # the caps are applied before int(), which refuses over 4300 digits
+        code, out, err = invoke(capsys, verb, word)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "position 1" in err
+        assert "4300" not in err
+
+    def test_leading_zeros_are_not_digits_over_the_cap(self, capsys):
+        padded = "x" + "0" * 5000 + "1^-" + "0" * 5000 + "3"
+        assert invoke(capsys, "reduce", padded) == (0, "x1^-3\n", "")
+        # int() reads any decimal digits, zeros of other scripts included
+        assert invoke(capsys, "reduce", "x\u0663 x0^-\u0660\u0660\u0660\u0660\u06601") == (
+            0, "x3 x0^-1\n", "")
+
     def test_generator_index_at_cap(self, capsys):
         assert invoke(capsys, "reduce", "x10000") == (0, "x10000\n", "")
         code, out, _ = invoke(capsys, "diagram", "x10000")
@@ -210,3 +234,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x0 x2\n"
+
+
+# words for the exit-code contract: runs of small or near-cap indices,
+# long enough to build deep forests, and at most one bad token among them
+_runs = st.builds(
+    "x{}^{}".format,
+    st.one_of(st.integers(0, 12), st.integers(MAX_GENERATOR_INDEX - 2, MAX_GENERATOR_INDEX)),
+    st.integers(-150, 150).filter(bool),
+)
+_bad_tokens = st.sampled_from([
+    f"x{MAX_GENERATOR_INDEX + 1}", f"x{MAX_GENERATOR_INDEX + 2}^-3",
+    f"x0^{MAX_WORD_LETTERS + 1}", f"x1^-{MAX_WORD_LETTERS + 1}", "x0^0",
+    "y2", "x", "x-1", "x0^", "x0^^1", "X1", "x0^+1", "x1.5", "e e",
+    "x" + "9" * 5000, "x0^" + "1" * 5000,
+])
+_words = st.builds(
+    lambda runs, bad, at: " ".join(runs[:at] + bad + runs[at:]),
+    st.lists(_runs, max_size=10),
+    st.lists(_bad_tokens, max_size=1),
+    st.integers(0, 10),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["reduce", "classify", "diagram"]), _words)
+def test_exit_code_contract_on_generated_words(verb, word):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([verb, word])
+    if code == 0:
+        assert out.getvalue() and not err.getvalue()
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

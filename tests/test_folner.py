@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_normal_form
-from thompsonf import folner
-from thompsonf.classify import ClassLabel, class_of, right_divisors
+from thompsonf import classify, folner
+from thompsonf.classify import ClassLabel, check_closures, class_of, right_divisors
 from thompsonf.folner import (
     DEFAULT_ELEMENT_LIMIT,
     GENERATORS,
@@ -281,6 +281,12 @@ class TestProductCounts:
         monkeypatch.setattr(folner, "nf_multiply", counting)
         return calls
 
+    @pytest.fixture
+    def counter_everywhere(self, counter, monkeypatch):
+        # classify's products count too
+        monkeypatch.setattr(classify, "nf_multiply", folner.nf_multiply)
+        return counter
+
     def test_bfs_skips_known_edges(self, counter):
         _ball_members.cache_clear()
         ball(8)
@@ -304,6 +310,25 @@ class TestProductCounts:
         # the counter does see the nf_multiply path
         subgraph_density(ElementSet(frozenset(pool)))
         assert len(counter) == 4 * len(pool)
+
+    def test_classes_make_no_products(self, counter_everywhere):
+        _ball_members.cache_clear()
+        ball(8)
+        counter_everywhere.clear()
+        assert sum(class_histogram(ball(8)).values()) == len(ball(8))
+        assert len(drop_classes(ball(8), [ClassLabel.M1, ClassLabel.M6])) > 0
+        assert counter_everywhere == []
+
+    def test_closure_check_makes_one_product_per_rule(self, counter_everywhere):
+        s = ball(7)
+        applicable = sum(
+            class_of(v) in sources
+            for v in s
+            for _, sources, _, _ in classify._CLOSURE_RULES
+        )
+        counter_everywhere.clear()
+        assert check_closures(s) == []
+        assert 0 < len(counter_everywhere) <= applicable
 
 
 class TestDeletionBound:
