@@ -25,8 +25,15 @@ from .classify import ClassLabel, check_closures, check_partition, class_of
 from .words import ParseError, parse_word, reduce_to_normal_form
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with one `error:` line, like every other error."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="thompsonf",
         description="Thompson's group F: normal forms, diagrams, classes, densities.",
     )
@@ -97,17 +104,17 @@ def _cmd_classify(args) -> int:
 
 def _cmd_diagram(args) -> int:
     d = diagrams.nf_to_diagram(reduce_to_normal_form(parse_word(args.word)))
-    print(diagrams.format_diagram(d))
     if args.dot:
         _write(args.dot, diagrams.diagram_to_dot(d))
+    print(diagrams.format_diagram(d))
     return 0
 
 
 def _cmd_ball(args) -> int:
     s = folner.ball(args.radius, limit=args.limit)
-    print(f"ball({args.radius}): {len(s)} elements")
     if args.csv:
         _write(args.csv, folner.elements_csv(s))
+    print(f"ball({args.radius}): {len(s)} elements")
     return 0
 
 
@@ -126,18 +133,18 @@ def _cmd_density(args) -> int:
     stats = folner.subgraph_density(s)
     label = _density_label(args.radius, dropped)
     csv = folner.density_csv(label, stats)
-    print(csv, end="")
     if args.csv:
         _write(args.csv, csv)
+    print(csv, end="")
     return 0
 
 
 def _cmd_histogram(args) -> int:
     s = folner.ball(args.radius, limit=args.limit)
     csv = folner.histogram_csv(folner.class_histogram(s))
-    print(csv, end="")
     if args.csv:
         _write(args.csv, csv)
+    print(csv, end="")
     return 0
 
 

@@ -8,16 +8,22 @@ histograms, translates and filters sets, and checks the vertex-deletion
 density bound.  All arithmetic uses fractions.Fraction; nothing here
 touches floating point.
 
-A ball is built once, as an interned Cayley graph (`_CayleyBall`).  Its
-elements are numbered 0, 1, 2, ... in BFS order, so each sphere is a run
-of consecutive numbers, and the numbering of a smaller ball is a prefix
-of that of a larger one.  Four `array('i')` columns, one per generator in
-GENERATORS order, hold the number of v*g for every element v, or -1 for
-an edge the BFS did not record.  Each product u*g = w the BFS computes
-fills both directions (w*g^-1 = u), and the BFS skips the edges it
-already knows.  Sort ranks and divisor flags (classify's rule, read off
-each normal form with no product) are derived once per ball, on first
-use.
+Every set is a byte mask over an interned Cayley graph (`_CayleyGraph`):
+elements numbered 0, 1, 2, ..., a dict from normal form to number, and
+four `array('i')` columns, one per generator in GENERATORS order, holding
+the number of v*g for every element v, or -1 when v*g lies outside the
+graph.  Sort ranks and divisor flags (classify's rule, read off each
+normal form with no product) are derived once per graph, on first use.
+Densities, classes, deletion checks and sort orders read columns, flags
+and masks; none multiplies normal forms.
+
+A ball (`_CayleyBall`) is built once, by BFS.  Its elements are numbered
+in BFS order, so each sphere is a run of consecutive numbers, and the
+numbering of a smaller ball is a prefix of that of a larger one.  Each
+product u*g = w the BFS computes fills both directions (w*g^-1 = u), and
+the BFS skips the edges it already knows.  A set whose elements all lie
+in a built ball is a mask over the smallest such ball.  Any other set
+spans its own graph when it is made: four products per element, once.
 
 Why -1 means "outside the ball": the exponent sum is a homomorphism from
 F to the integers (every relation x_j x_i = x_i x_{j+1} has two letters
@@ -28,14 +34,6 @@ at radius r < n lies in the ball, and the BFS has recorded that edge
 once it has expanded the element.  A neighbour of an element at radius n lies at
 radius n-1, an edge recorded from the other end, or at radius n+1,
 outside the ball.
-
-A set drawn from a built ball (`ball`, `ElementSet.of` on elements of a
-ball, and what set operations and `drop_classes` derive from those) is a
-byte mask over the ball's numbering, so densities, classes, deletion
-checks and sort orders read columns, flags and masks instead of
-multiplying normal forms.  A set with an element outside every built
-ball keeps a frozenset and the `nf_multiply` path, which is also the
-oracle the graph path is tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Iterator
 
-from .classify import ClassLabel, DivisorSet, _divisor_flags, class_of
+from .classify import ClassLabel, DivisorSet, _divisor_flags
 from .words import NormalForm, nf_multiply
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
@@ -77,11 +75,51 @@ def _label(bits: int) -> ClassLabel:
     return DivisorSet(*_FLAGS[bits]).label()
 
 
-class _CayleyBall:
-    """The radius-n ball as an interned Cayley graph (module docstring)."""
+class _CayleyGraph:
+    """Numbered elements and their neighbour columns (module docstring)."""
 
-    __slots__ = ("radius", "elements", "number", "columns", "sphere_starts",
-                 "_rank", "_flags", "__weakref__")
+    __slots__ = ("elements", "number", "columns", "_rank", "_flags", "__weakref__")
+
+    def __init__(self, elements: list[NormalForm], number: dict[NormalForm, int],
+                 columns: tuple[array, ...]) -> None:
+        self.elements = elements
+        self.number = number
+        self.columns = columns
+        self._rank: array | None = None
+        self._flags: bytes | None = None
+
+    def rank(self) -> array:
+        """Position of every element in the order of formatted normal forms;
+        each element is formatted once."""
+        if self._rank is None:
+            keys = [str(v) for v in self.elements]
+            rank = array("i", [0]) * len(keys)
+            for position, u in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+                rank[u] = position
+            self._rank = rank
+        return self._rank
+
+    def flags(self) -> bytes:
+        """Divisor flags of every element as bits (1 X0, 2 X0^-1, 4 X1,
+        8 X1^-1), by classify's rule on each normal form."""
+        if self._flags is None:
+            self._flags = bytes(_BITS[_divisor_flags(v)] for v in self.elements)
+        return self._flags
+
+
+def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
+    """The graph `items` span (four products per element) and its full mask."""
+    elements = list(dict.fromkeys(items))
+    number = {v: u for u, v in enumerate(elements)}
+    columns = tuple(array("i", [number.get(nf_multiply(v, g), -1) for v in elements])
+                    for g in GENERATORS)
+    return _CayleyGraph(elements, number, columns), b"\1" * len(elements) + b"\0"
+
+
+class _CayleyBall(_CayleyGraph):
+    """The radius-n ball, built by one BFS (module docstring)."""
+
+    __slots__ = ("radius", "sphere_starts")
 
     def __init__(self, n: int, limit: int) -> None:
         identity = NormalForm()
@@ -111,31 +149,9 @@ class _CayleyBall:
                     columns[k][u] = j
                     columns[k ^ 1][j] = u
             starts.append(len(elements))
+        super().__init__(elements, number, columns)
         self.radius = n
-        self.elements = elements
-        self.number = number
-        self.columns = columns
         self.sphere_starts = starts
-        self._rank: array | None = None
-        self._flags: bytes | None = None
-
-    def rank(self) -> array:
-        """Position of every element in the order of formatted normal forms;
-        each element is formatted once."""
-        if self._rank is None:
-            keys = [str(v) for v in self.elements]
-            rank = array("i", [0]) * len(keys)
-            for position, u in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
-                rank[u] = position
-            self._rank = rank
-        return self._rank
-
-    def flags(self) -> bytes:
-        """Divisor flags of every element as bits (1 X0, 2 X0^-1, 4 X1,
-        8 X1^-1), by classify's rule on each normal form."""
-        if self._flags is None:
-            self._flags = bytes(_BITS[_divisor_flags(v)] for v in self.elements)
-        return self._flags
 
 
 # every completed ball still referenced, by the cache or by a set
@@ -149,92 +165,85 @@ def _ball_members(n: int, limit: int) -> _CayleyBall:
     return graph
 
 
+def _ball_mask(items: list[NormalForm]) -> tuple[_CayleyBall, bytes] | None:
+    """The smallest built ball that holds every item, with the items' mask
+    over it; None when no built ball holds them all."""
+    largest = max(_BUILT, key=lambda b: b.radius, default=None)
+    if largest is None:
+        return None
+    number = largest.number
+    mask = bytearray(len(largest.elements) + 1)
+    for v in items:
+        u = number.get(v)
+        if u is None:
+            return None
+        mask[u] = 1
+    # numberings are prefixes of one another, so any ball that is longer
+    # than the highest number holds the set
+    top = mask.rfind(1)
+    graph = min((b for b in _BUILT if len(b.elements) > top), key=lambda b: b.radius)
+    return graph, bytes(mask[: len(graph.elements)]) + b"\0"
+
+
 class ElementSet:
     """A finite set of group elements keyed by their normal forms.
 
-    A set drawn from a built ball is a byte mask over that ball's
-    numbering, with one extra 0 byte at the end, which a -1 column entry
-    reads; any other set holds a frozenset.  Both kinds answer the same
-    questions, and `members` is the frozenset either way.
+    Every set is a byte mask over an interned graph's numbering, with one
+    extra 0 byte at the end, which a -1 column entry reads.  The graph is
+    the smallest built ball that holds the set, or else the graph the set
+    spans, built when the set is made.  `members` is the frozenset of the
+    elements, derived on request.
     """
 
-    __slots__ = ("_members", "_graph", "_mask", "_size")
+    __slots__ = ("_graph", "_mask", "_size")
 
-    def __init__(self, members: frozenset[NormalForm]) -> None:
-        self._members: frozenset[NormalForm] | None = members
-        self._graph: _CayleyBall | None = None
-        self._mask = b""
-        self._size = len(members)
+    def __init__(self, elements: Iterable[NormalForm]) -> None:
+        items = list(elements)
+        graph, mask = _ball_mask(items) or _spanned_graph(items)
+        self._graph, self._mask, self._size = graph, mask, mask.count(1)
 
     @classmethod
-    def _view(cls, graph: _CayleyBall, mask: bytes) -> "ElementSet":
+    def _view(cls, graph: _CayleyGraph, mask: bytes) -> "ElementSet":
         s = cls.__new__(cls)
-        s._members = None
-        s._graph = graph
-        s._mask = mask
-        s._size = mask.count(1)
+        s._graph, s._mask, s._size = graph, mask, mask.count(1)
         return s
 
     @classmethod
     def of(cls, elements: Iterable[NormalForm]) -> "ElementSet":
-        """The set of `elements`; a mask over the smallest built ball that
-        holds them all, when there is one."""
-        items = list(elements)
-        largest = max(_BUILT, key=lambda b: b.radius, default=None)
-        if largest is None:
-            return cls(frozenset(items))
-        number = largest.number
-        mask = bytearray(len(largest.elements) + 1)
-        for v in items:
-            u = number.get(v)
-            if u is None:
-                return cls(frozenset(items))
-            mask[u] = 1
-        # numberings are prefixes of one another, so any ball that is
-        # longer than the highest number holds the set
-        top = mask.rfind(1)
-        graph = min((b for b in _BUILT if len(b.elements) > top),
-                    key=lambda b: b.radius)
-        size = len(graph.elements)
-        return cls._view(graph, bytes(mask[:size]) + b"\0")
+        """The set of `elements`, as the constructor makes it."""
+        return cls(elements)
 
     @property
     def members(self) -> frozenset[NormalForm]:
-        if self._members is None:
-            self._members = frozenset(self)
-        return self._members
-
-    def _numbers(self) -> Iterator[int]:
-        return compress(range(len(self._graph.elements)), self._mask)
+        return frozenset(self)
 
     def _operands(self, other: "ElementSet"):
         """Both masks as ints (byte i of the int is byte i of the mask)
-        when the sets share a ball, else both frozensets; `&`, `|`, `^`
-        and `==` mean the same set operation on either."""
-        if self._graph is not None and self._graph is other._graph:
+        when the sets share a graph, else both member frozensets; `&`,
+        `|`, `^` and `==` mean the same set operation on either."""
+        if self._graph is other._graph:
             return int.from_bytes(self._mask, "little"), int.from_bytes(other._mask, "little")
         return self.members, other.members
 
     def _result(self, combined) -> "ElementSet":
         if isinstance(combined, int):
             return ElementSet._view(self._graph, combined.to_bytes(len(self._mask), "little"))
-        return ElementSet.of(combined)
+        return ElementSet(combined)
 
     def __len__(self) -> int:
         return self._size
 
     def __iter__(self) -> Iterator[NormalForm]:
-        if self._graph is None:
-            return iter(self._members)
-        return map(self._graph.elements.__getitem__, self._numbers())
+        return compress(self._graph.elements, self._mask)
 
     def __contains__(self, nf: NormalForm) -> bool:
-        return nf in self.members
+        return self._mask[self._graph.number.get(nf, -1)] == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
             return NotImplemented
-        return self.members == other.members
+        a, b = self._operands(other)
+        return a == b
 
     def __hash__(self) -> int:
         return hash(self.members)
@@ -261,18 +270,9 @@ class ElementSet:
     def sorted_members(self) -> list[NormalForm]:
         """Members ordered by formatted normal form; the order every
         output format uses."""
-        if self._graph is None:
-            return sorted(self._members, key=str)
         elements, rank = self._graph.elements, self._graph.rank()
-        return [elements[u] for u in sorted(self._numbers(), key=rank.__getitem__)]
-
-    def _image(self, v: NormalForm, k: int) -> NormalForm | None:
-        """v * GENERATORS[k] when it lies in the set, else None."""
-        if self._graph is None:
-            w = nf_multiply(v, GENERATORS[k])
-            return w if w in self._members else None
-        w = self._graph.columns[k][self._graph.number[v]]
-        return self._graph.elements[w] if self._mask[w] else None
+        numbers = compress(range(len(elements)), self._mask)
+        return [elements[u] for u in sorted(numbers, key=rank.__getitem__)]
 
 
 @dataclass(frozen=True)
@@ -298,6 +298,8 @@ def ball(n: int, limit: int = DEFAULT_ELEMENT_LIMIT) -> ElementSet:
     raises ResourceLimitError when the set would exceed `limit`."""
     if n < 0:
         raise ValueError("radius must be non-negative")
+    if limit < 1:
+        raise ValueError(f"element limit must be at least 1, got {limit}")
     graph = _ball_members(n, limit)
     return ElementSet._view(graph, b"\1" * len(graph.elements) + b"\0")
 
@@ -307,25 +309,17 @@ def subgraph_density(s: ElementSet) -> SubgraphStats:
     oriented edge per generator image that stays inside s."""
     if not len(s):
         raise ValueError("density of the empty set is undefined")
-    if s._graph is None:
-        members = s.members
-        edges = sum(nf_multiply(v, g) in members for v in members for g in GENERATORS)
-    else:
-        mask = s._mask  # mask[-1] is the trailing 0, read for a -1 entry
-        edges = sum(sum(map(mask.__getitem__, compress(column, mask)))
-                    for column in s._graph.columns)
+    mask = s._mask  # mask[-1] is the trailing 0, read for a -1 entry
+    edges = sum(sum(map(mask.__getitem__, compress(column, mask)))
+                for column in s._graph.columns)
     return SubgraphStats(len(s), edges, Fraction(edges, len(s)))
 
 
 def class_histogram(s: ElementSet) -> dict[ClassLabel, int]:
     """Element count per class, with every label present in M1..M7 order."""
     counts = {label: 0 for label in ClassLabel}
-    if s._graph is None:
-        for v in s.members:
-            counts[class_of(v)] += 1
-    else:
-        for bits, count in Counter(compress(s._graph.flags(), s._mask)).items():
-            counts[_label(bits)] += count
+    for bits, count in Counter(compress(s._graph.flags(), s._mask)).items():
+        counts[_label(bits)] += count
     return counts
 
 
@@ -341,8 +335,6 @@ def drop_classes(s: ElementSet, classes: Iterable[ClassLabel]) -> ElementSet:
     dropped = set(classes)
     if not dropped:
         return s
-    if s._graph is None:
-        return ElementSet(frozenset(v for v in s.members if class_of(v) not in dropped))
     flags = s._graph.flags()
     keep = bytearray(256)
     for bits in set(compress(flags, s._mask)):
@@ -421,13 +413,14 @@ def subgraph_dot(s: ElementSet) -> str:
     """DOT digraph of the spanned subgraph: vertices labelled by normal
     forms, one arrow per x0 and x1 edge staying inside the set."""
     lines = ["digraph cayley_subgraph {"]
+    graph, mask = s._graph, s._mask
     ordered = s.sorted_members()
     for v in ordered:
         lines.append(f'  "{v}";')
     for v in ordered:
         for k, name in ((0, "x0"), (2, "x1")):
-            w = s._image(v, k)
-            if w is not None:
-                lines.append(f'  "{v}" -> "{w}" [label="{name}"];')
+            w = graph.columns[k][graph.number[v]]
+            if mask[w]:  # mask[-1] is the trailing 0
+                lines.append(f'  "{v}" -> "{graph.elements[w]}" [label="{name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

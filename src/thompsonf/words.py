@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import groupby
+from typing import Iterable, NamedTuple
 
 
 class ParseError(ValueError):
@@ -117,7 +118,7 @@ class NormalForm:
         return nf_multiply(self, other)
 
     def __str__(self) -> str:
-        return format_word(self.word())
+        return format_word([(i, 1) for i in self.pos] + [(j, -1) for j in reversed(self.neg)])
 
 
 IDENTITY = NormalForm()
@@ -177,29 +178,15 @@ def parse_word(text: str) -> Word:
     return Word(tuple(letters))
 
 
-def format_word(w: Word) -> str:
-    """Canonical formatting: runs of the same letter collapse into exponent
-    notation, tokens are single-space separated, and the identity is "e"."""
-    if not w.letters:
-        return "e"
-    parts: list[str] = []
-    run_letter = w.letters[0]
-    run = 1
-    for lt in w.letters[1:]:
-        if lt == run_letter:
-            run += 1
-        else:
-            parts.append(_format_run(run_letter, run))
-            run_letter, run = lt, 1
-    parts.append(_format_run(run_letter, run))
-    return " ".join(parts)
-
-
-def _format_run(lt: Letter, count: int) -> str:
-    exponent = lt.sign * count
-    if exponent == 1:
-        return f"x{lt.index}"
-    return f"x{lt.index}^{exponent}"
+def format_word(letters: Iterable[tuple[int, int]]) -> str:
+    """Canonical formatting of a Word or any (index, sign) pairs: runs of
+    the same letter collapse into exponent notation, tokens are
+    single-space separated, and the identity is "e"."""
+    parts = []
+    for (index, sign), run in groupby(letters):
+        exponent = sign * len(list(run))
+        parts.append(f"x{index}" if exponent == 1 else f"x{index}^{exponent}")
+    return " ".join(parts) or "e"
 
 
 # -- incremental reduction ---------------------------------------------------

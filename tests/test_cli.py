@@ -212,6 +212,34 @@ class TestErrors:
             run(["frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "-x0"], ["reduce"], ["ball", "three"], ["check", "closures"],
+        ["density", "2", "--frobnicate"], ["frobnicate"],
+    ])
+    def test_argument_errors_are_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["ball", "3", "--csv"], ["histogram", "2", "--csv"], ["density", "2", "--csv"],
+        ["diagram", "x0", "--dot"],
+    ])
+    def test_unwritable_output_prints_nothing(self, capsys, tmp_path, argv):
+        code, out, err = invoke(capsys, *argv, str(tmp_path / "missing" / "out"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("radius, limit", [("0", "0"), ("3", "-3")])
+    def test_limit_below_one_rejected(self, capsys, radius, limit):
+        code, out, err = invoke(capsys, "ball", radius, "--limit", limit)
+        assert (code, out) == (2, "")
+        assert err == f"error: element limit must be at least 1, got {limit}\n"
+
     def test_dropping_everything(self, capsys):
         code, _, err = invoke(
             capsys, "density", "0", "--drop", "M1,M2,M3,M4,M5,M6,M7"
@@ -249,11 +277,15 @@ _bad_tokens = st.sampled_from([
     "y2", "x", "x-1", "x0^", "x0^^1", "X1", "x0^+1", "x1.5", "e e",
     "x" + "9" * 5000, "x0^" + "1" * 5000,
 ])
-_words = st.builds(
-    lambda runs, bad, at: " ".join(runs[:at] + bad + runs[at:]),
-    st.lists(_runs, max_size=10),
-    st.lists(_bad_tokens, max_size=1),
-    st.integers(0, 10),
+_words = st.one_of(
+    st.builds(
+        lambda runs, bad, at: " ".join(runs[:at] + bad + runs[at:]),
+        st.lists(_runs, max_size=10),
+        st.lists(_bad_tokens, max_size=1),
+        st.integers(0, 10),
+    ),
+    # one-token words that argparse may read as an option
+    st.sampled_from(["-x0", "-1", "-x1^-2", "--x0", "-e", "-", "--", "-0.5"]),
 )
 
 
@@ -262,7 +294,10 @@ _words = st.builds(
 def test_exit_code_contract_on_generated_words(verb, word):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run([verb, word])
+        try:
+            code = run([verb, word])
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
     if code == 0:
         assert out.getvalue() and not err.getvalue()
     else:

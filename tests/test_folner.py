@@ -71,6 +71,11 @@ class TestBall:
         with pytest.raises(ResourceLimitError, match="radius"):
             ball(5, limit=10)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="at least 1"):
+            ball(0, limit=limit)
+
 
 class TestDensity:
     def test_singleton(self):
@@ -237,7 +242,9 @@ class TestCayleyBall:
     def test_density_matches_oracle_off_every_ball(self):
         rng = random.Random(149)
         outside = ElementSet.of([nf("x0^40")]) | ball(3)
-        assert outside._graph is None
+        # a mask over the graph the set spans, not over any ball
+        assert not isinstance(outside._graph, folner._CayleyBall)
+        assert all(outside._graph is not b for b in folner._BUILT)
         sets = [outside, ball(3) | ElementSet.of([nf("x0^9")])]
         sets += [translate_set(ball(3), random_normal_form(rng, max_len=12)) for _ in range(5)]
         for s in sets:
@@ -265,6 +272,73 @@ class TestCayleyBall:
         expected = {v for v in s if class_of(v) not in dropped}
         assert set(drop_classes(s, dropped)) == expected
         assert set(drop_classes(ElementSet(frozenset(s)), dropped)) == expected
+
+
+def off_ball_sets():
+    """ball(3) with x0^40, and five random right translates of ball(3) by
+    elements g of exponent sum at least 28: v*g then has exponent sum at
+    least 25, so it lies outside every ball of radius below 25."""
+    rng = random.Random(167)
+    far = nf("x0^40")
+    sets = [ball(3) | ElementSet.of([far])]
+    for _ in range(5):
+        g = nf_multiply(random_normal_form(rng, max_len=12), far)
+        sets.append(translate_set(ball(3), g))
+    return sets
+
+
+class TestSpannedGraph:
+    """A set off every ball, as a mask over the graph it spans, against
+    the nf_multiply and class_of oracles."""
+
+    def test_columns_match_nf_multiply(self):
+        sets = off_ball_sets()
+        for s in sets:
+            graph, members = s._graph, s.members
+            assert not isinstance(graph, folner._CayleyBall)
+            assert set(graph.elements) == members
+            for u, v in enumerate(graph.elements):
+                assert graph.number[v] == u
+                for k, g in enumerate(GENERATORS):
+                    w = nf_multiply(v, g)
+                    j = graph.columns[k][u]
+                    # -1 exactly when the product lies outside the set
+                    assert (j == -1) == (w not in members)
+                    if j != -1:
+                        assert graph.elements[j] == w
+
+    def test_classes_match_class_of(self):
+        dropped = [ClassLabel.M1, ClassLabel.M3, ClassLabel.M6]
+        for s in off_ball_sets():
+            expected = {label: 0 for label in ClassLabel}
+            for v in s.members:
+                expected[class_of(v)] += 1
+            assert class_histogram(s) == expected
+            survivors = {v for v in s.members if class_of(v) not in dropped}
+            assert drop_classes(s, dropped).members == survivors
+
+    def test_membership(self):
+        rng = random.Random(173)
+        inside = ElementSet.of(rng.sample(ball(4).sorted_members(), 50))
+        outside = off_ball_sets()[0]
+        others = [nf("x0^40"), nf("x0^39"), nf("x1^40"), nf("x2 x5^-1")] + list(ball(5))
+        for s in (inside, outside):
+            members = frozenset(s)
+            for v in members:
+                assert v in s
+            for v in others:
+                assert (v in s) == (v in members)
+
+    def test_outputs_match_oracles(self):
+        for s in off_ball_sets():
+            members = s.members
+            assert s.sorted_members() == sorted(members, key=str)
+            dot = subgraph_dot(s)
+            edges = [(v, w, name) for v in members for k, name in ((0, "x0"), (2, "x1"))
+                     for w in [nf_multiply(v, GENERATORS[k])] if w in members]
+            assert dot.count(" -> ") == len(edges)
+            for v, w, name in edges:
+                assert f'"{v}" -> "{w}" [label="{name}"];' in dot
 
 
 class TestProductCounts:
@@ -307,9 +381,13 @@ class TestProductCounts:
             k = ElementSet.of(rng.sample(s.sorted_members(), rng.randint(0, size - 1)))
             deletion_bound_check(s, k)
         assert counter == []
-        # the counter does see the nf_multiply path
-        subgraph_density(ElementSet(frozenset(pool)))
-        assert len(counter) == 4 * len(pool)
+        # the counter does see the products a set off every ball spans
+        off = pool + [nf("x0^40")]
+        s = ElementSet.of(off)
+        assert len(counter) == 4 * len(off)
+        counter.clear()
+        subgraph_density(s)
+        assert counter == []
 
     def test_classes_make_no_products(self, counter_everywhere):
         _ball_members.cache_clear()
@@ -317,6 +395,27 @@ class TestProductCounts:
         counter_everywhere.clear()
         assert sum(class_histogram(ball(8)).values()) == len(ball(8))
         assert len(drop_classes(ball(8), [ClassLabel.M1, ClassLabel.M6])) > 0
+        assert counter_everywhere == []
+
+    def test_ball_elements_make_no_products(self, counter):
+        ball(4)
+        counter.clear()
+        s = ElementSet(frozenset(ball(4)))
+        assert isinstance(s._graph, folner._CayleyBall)
+        assert s == ball(4)
+        assert counter == []
+
+    def test_off_ball_set_makes_its_products_once(self, counter_everywhere):
+        members = list(ball(3)) + [nf("x0^40"), nf("x0^41"), nf("x1^-40")]
+        counter_everywhere.clear()
+        s = ElementSet.of(members)
+        assert len(counter_everywhere) == 4 * len(s)
+        counter_everywhere.clear()
+        subgraph_density(s)
+        class_histogram(s)
+        drop_classes(s, [ClassLabel.M1, ClassLabel.M3])
+        s.sorted_members()
+        subgraph_dot(s)
         assert counter_everywhere == []
 
     def test_closure_check_makes_one_product_per_rule(self, counter_everywhere):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_normal_form, random_word
+from thompsonf.folner import ball
 from thompsonf.words import (
     IDENTITY,
     Letter,
@@ -68,6 +69,13 @@ class TestParse:
     def test_format_collapses_runs(self):
         w = parse_word("x0 x0 x1^-1 x1^-1 x1^-1 x0")
         assert format_word(w) == "x0^2 x1^-3 x0"
+
+    def test_normal_form_str_matches_its_word(self):
+        # str reads pos and reversed neg directly; the Word path is the oracle
+        for v in ball(8):
+            assert str(v) == format_word(v.word())
+        assert format_word([(0, 1), (0, 1), (3, -1)]) == "x0^2 x3^-1"
+        assert format_word(iter(())) == "e"
 
     def test_parse_format_roundtrip_random(self):
         rng = random.Random(101)
