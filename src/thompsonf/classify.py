@@ -20,15 +20,14 @@ that off the normal form x_{i_1}..x_{i_s} x_{j_t}^-1..x_{j_1}^-1 of g
     X0     divides iff 0 is in pos and 1 is in neither pos nor neg;
     X1     divides iff k is in pos and k+1 is in neither pos nor neg;
 
-where k starts at 1 and grows by one for each leading j of neg below it.
-This is `words._times_positive` and `_times_negative` on x1 (and on x0,
-whose walk stops at once): a right factor x1 moves left through neg,
-passing each smaller index and bumping its own, and cancels exactly when
-it meets k; otherwise it lands in pos and adds a letter, and no
-x_m..x_m^-1 pair appears for `_repair` to remove.  A right factor x1^-1
-is sorted into neg at k and adds a letter, unless it closes a pair with
-an x_k in pos that `_repair` removes, which needs x_{k+1}^{+-1} absent;
-that removal leaves no further pair, so the letter count drops by one.
+where k is the index with which a right factor x1 lands in neg
+(`words._landing`: it starts at 1 and grows by one per leading j of neg
+below it; x0 lands with index 0 at once).  A right factor x1 cancels,
+dropping a letter, exactly when neg holds k (`words._times_positive`);
+x1^-1 drops one exactly when k is in pos and k+1 in neither half
+(`words._times_negative`); otherwise each adds a letter.  Likewise for
+x0 and x0^-1 with 0 in place of k.
+
 `right_divisible` applies the definition literally to a diagram and is
 kept as the oracle this rule is tested against.
 
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .diagrams import (
@@ -50,7 +50,7 @@ from .diagrams import (
     cells,
     concat_product,
 )
-from .words import NormalForm, nf_multiply
+from .words import NormalForm, _landing, nf_multiply
 
 
 class ClassLabel(enum.Enum):
@@ -132,11 +132,7 @@ def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
     """Flags ordered (X0, X0^-1, X1, X1^-1), by the rule in the module
     docstring."""
     pos, neg = g.pos, g.neg
-    k = 1
-    for j in neg:
-        if j >= k:
-            break
-        k += 1
+    k = _landing(neg, 1)[1]
 
     def closes_pair(i: int) -> bool:
         return i in pos and i + 1 not in pos and i + 1 not in neg
@@ -168,33 +164,35 @@ _CLOSURE_RULES = (
 def check_closures(elements: Iterable[NormalForm]) -> list[str]:
     """Check the four class-closure inclusions on every element.
 
-    Returns a deterministically ordered list of violation descriptions;
-    an empty list means every inclusion held.
+    Returns the violation descriptions ordered by formatted element, and
+    for one element in rule order; an empty list means every inclusion
+    held.
     """
-    violations: list[str] = []
-    for g in sorted(elements, key=str):
+    violations: list[tuple[str, str]] = []
+    for g in elements:
         cls = class_of(g)
         for rule_name, sources, factor, expected in _CLOSURE_RULES:
             if cls not in sources:
                 continue
             got = class_of(nf_multiply(g, factor))
             if got is not expected:
-                violations.append(
+                violations.append((str(g), (
                     f"{g}: rule {rule_name} failed, element is {cls} but the "
                     f"product landed in {got}"
-                )
-    return violations
+                )))
+    return [line for _, line in sorted(violations, key=itemgetter(0))]
 
 
 def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     """Check that every element's divisor set is one of the seven
-    admissible values.  Returns violation descriptions, expected empty."""
-    violations: list[str] = []
-    for g in sorted(elements, key=str):
+    admissible values.  Returns violation descriptions ordered by
+    formatted element, expected empty."""
+    violations: list[tuple[str, str]] = []
+    for g in elements:
         flags = _divisor_flags(g)
         if flags not in _LEGAL_DIVISOR_SETS:
             found = ", ".join(
                 name for name, flag in zip(_DIVISOR_NAMES, flags) if flag
             )
-            violations.append(f"{g}: divisor set {{{found}}} is not admissible")
-    return violations
+            violations.append((str(g), f"{g}: divisor set {{{found}}} is not admissible"))
+    return [line for _, line in sorted(violations, key=itemgetter(0))]

@@ -172,6 +172,8 @@ def _check_lemma_del(s, samples: int, seed: int) -> tuple[list[str], int]:
 
 
 def _cmd_check(args) -> int:
+    if args.which == "lemma-del" and args.samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {args.samples}")
     s = folner.ball(args.radius, limit=args.limit)
     if args.which == "partition":
         violations = check_partition(s)

@@ -44,7 +44,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .classify import ClassLabel, DivisorSet, _divisor_flags
@@ -189,9 +189,10 @@ class ElementSet:
     """A finite set of group elements keyed by their normal forms.
 
     Every set is a byte mask over an interned graph's numbering, with one
-    extra 0 byte at the end, which a -1 column entry reads.  The graph is
-    the smallest built ball that holds the set, or else the graph the set
-    spans, built when the set is made.  `members` is the frozenset of the
+    extra 0 byte at the end, which a -1 column entry reads.  A set made
+    from elements lies on the smallest built ball that holds it, or else
+    on the graph it spans, built when the set is made; `&` and `-` keep
+    the left operand's graph.  `members` is the frozenset of the
     elements, derived on request.
     """
 
@@ -217,18 +218,21 @@ class ElementSet:
     def members(self) -> frozenset[NormalForm]:
         return frozenset(self)
 
-    def _operands(self, other: "ElementSet"):
-        """Both masks as ints (byte i of the int is byte i of the mask)
-        when the sets share a graph, else both member frozensets; `&`,
-        `|`, `^` and `==` mean the same set operation on either."""
-        if self._graph is other._graph:
-            return int.from_bytes(self._mask, "little"), int.from_bytes(other._mask, "little")
-        return self.members, other.members
+    def _operands(self, other: "ElementSet") -> tuple[int, int]:
+        """Both masks as ints over self's graph (byte i of the int is byte
+        i of the mask).  Members of `other` outside that graph set only
+        the trailing byte, which is 0 in self's mask, so `&`, `-` and `<=`
+        ignore them."""
+        mask = other._mask
+        if other._graph is not self._graph:
+            number = self._graph.number
+            mask = bytearray(len(self._mask))
+            for v in other:
+                mask[number.get(v, -1)] = 1
+        return int.from_bytes(self._mask, "little"), int.from_bytes(mask, "little")
 
-    def _result(self, combined) -> "ElementSet":
-        if isinstance(combined, int):
-            return ElementSet._view(self._graph, combined.to_bytes(len(self._mask), "little"))
-        return ElementSet(combined)
+    def _result(self, combined: int) -> "ElementSet":
+        return ElementSet._view(self._graph, combined.to_bytes(len(self._mask), "little"))
 
     def __len__(self) -> int:
         return self._size
@@ -242,8 +246,7 @@ class ElementSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
             return NotImplemented
-        a, b = self._operands(other)
-        return a == b
+        return len(self) == len(other) and self <= other
 
     def __hash__(self) -> int:
         return hash(self.members)
@@ -260,6 +263,8 @@ class ElementSet:
         return self._result(a & b)
 
     def __or__(self, other: "ElementSet") -> "ElementSet":
+        if other._graph is not self._graph:
+            return ElementSet(chain(self, other))
         a, b = self._operands(other)
         return self._result(a | b)
 

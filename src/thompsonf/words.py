@@ -33,6 +33,7 @@ can be compared.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, NamedTuple
@@ -191,87 +192,61 @@ def format_word(letters: Iterable[tuple[int, int]]) -> str:
 
 # -- incremental reduction ---------------------------------------------------
 #
-# The workhorse below multiplies a normal form (as a raw pos/neg pair) by a
-# single letter and restores normality.  These run on every BFS edge of the
-# Cayley-graph tooling, so they stay allocation-light.
+# One letter times a normal form is normal again after one local step, as
+# the docstrings below prove; `NormalForm` still checks every result.  A
+# pair is an index in both halves, and its witness is the next index, in
+# either half.  The steps run on every BFS edge, so they stay lean.
+
+
+def _landing(neg: tuple, g: int) -> tuple[int, int]:
+    """Where a right factor x_g^{+-1} lands in neg: (k, g').  It passes the
+    k leading j of neg below its current index, which grows by one per j
+    (x_j^-1 x_g^{+-1} -> x_{g+1}^{+-1} x_j^-1), so g' = g + k.  Each neg[m]
+    passed is below g + m <= g'-1: nothing in neg lies at g'-1, and
+    neg[k:] lies at g' or above."""
+    for k, j in enumerate(neg):
+        if j >= g + k:
+            return k, g + k
+    return len(neg), g + len(neg)
 
 
 def _times_positive(pos: tuple, neg: tuple, g: int) -> tuple[tuple, tuple]:
-    """Right-multiply by x_g.  The letter moves left through the negative
-    half, cancelling against an equal index or emerging into the positive
-    half with its index bumped once per smaller index passed."""
-    passed: list[int] = []
-    for k, j in enumerate(neg):
-        if j == g:
-            return pos, tuple(passed) + neg[k + 1 :]
-        if j < g:
-            passed.append(j)
-            g += 1
-        else:
-            passed.append(j + 1)
-    new_pos = (
-        tuple(p for p in pos if p <= g)
-        + (g,)
-        + tuple(p + 1 for p in pos if p > g)
-    )
-    return new_pos, tuple(passed)
+    """Right-multiply by x_g: x_{g'} cancels against neg[k] == g', or else
+    enters pos, passing every index above g', which grows by one
+    (x_j^{+-1} x_{g'} -> x_{g'} x_{j+1}^{+-1}, j > g').  Neither needs more
+    rewriting.  A cancel can take a witness only from g'-1, which is in no
+    pair.  After an entry neg holds nothing at g'-1, g' or g'+1, so x_{g'}
+    is in no pair, and the indices above g' moved up together."""
+    k, g = _landing(neg, g)
+    if neg[k : k + 1] == (g,):
+        return pos, neg[:k] + neg[k + 1 :]
+    at = bisect_right(pos, g)
+    return (pos[:at] + (g,) + tuple(p + 1 for p in pos[at:]),
+            neg[:k] + tuple(j + 1 for j in neg[k:]))
 
 
 def _times_negative(pos: tuple, neg: tuple, g: int) -> tuple[tuple, tuple]:
-    """Right-multiply by x_g^-1: sort the new index into the negative half,
-    bumping it once per smaller index passed.  Never cancels on its own;
-    `_repair` removes any x_i ... x_i^-1 pair this may create."""
-    passed: list[int] = []
-    for k, j in enumerate(neg):
-        if j < g:
-            passed.append(j)
-            g += 1
-        else:
-            return pos, tuple(passed) + (g,) + neg[k:]
-    return pos, tuple(passed) + (g,)
-
-
-def _repair(pos: tuple, neg: tuple) -> tuple[tuple, tuple]:
-    """Remove x_i ... x_i^-1 pairs whose inner block carries no x_{i+1}^{+-1},
-    decrementing the inner indices; repeat until the side condition holds."""
-    while True:
-        ps, ns = set(pos), set(neg)
-        offender = -1
-        for i in ps & ns:
-            if i + 1 not in ps and i + 1 not in ns:
-                offender = i
-                break
-        if offender < 0:
-            return pos, neg
-        pos = _drop_one_and_shift(pos, offender)
-        neg = _drop_one_and_shift(neg, offender)
-
-
-def _drop_one_and_shift(half: tuple, i: int) -> tuple:
-    out: list[int] = []
-    dropped = False
-    for v in half:
-        if v == i and not dropped:
-            dropped = True
-            continue
-        out.append(v - 1 if v > i else v)
-    return tuple(out)
-
-
-def _fold_letter(pos: tuple, neg: tuple, lt: Letter) -> tuple[tuple, tuple]:
-    if lt.sign > 0:
-        pos, neg = _times_positive(pos, neg, lt.index)
-    else:
-        pos, neg = _times_negative(pos, neg, lt.index)
-    return _repair(pos, neg)
+    """Right-multiply by x_g^-1: x_{g'}^-1 enters neg at k, which leaves
+    every index but g' with its witness.  When g' is in pos and g'+1 in
+    neither half, g' is a pair with no witness instead (neg held no g',
+    as the form was normal), and every letter between the last x_{g'} and
+    the new x_{g'}^-1 is >= g'+2: the shift rule drops the two and lowers
+    each index above g' by one.  Then neg holds nothing at g'-1 or g', and
+    the indices above g' moved down together, so one round is enough."""
+    k, g = _landing(neg, g)
+    if g in pos and g + 1 not in pos and g + 1 not in neg:
+        at = bisect_right(pos, g)
+        return (pos[: at - 1] + tuple(p - 1 for p in pos[at:]),
+                neg[:k] + tuple(j - 1 for j in neg[k:]))
+    return pos, neg[:k] + (g,) + neg[k:]
 
 
 def reduce_to_normal_form(w: Word) -> NormalForm:
     """Reduce an arbitrary word to the unique normal form of its element."""
     pos: tuple = ()
     neg: tuple = ()
-    for lt in w.letters:
-        pos, neg = _fold_letter(pos, neg, lt)
+    for index, sign in w.letters:
+        pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
     return NormalForm(pos, neg)
 
 
@@ -280,10 +255,8 @@ def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
     pos, neg = a.pos, a.neg
     for i in b.pos:
         pos, neg = _times_positive(pos, neg, i)
-        pos, neg = _repair(pos, neg)
     for j in reversed(b.neg):
         pos, neg = _times_negative(pos, neg, j)
-        pos, neg = _repair(pos, neg)
     return NormalForm(pos, neg)
 
 

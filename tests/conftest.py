@@ -1,6 +1,7 @@
+import itertools
 import random
 
-from thompsonf.words import Letter, Word, reduce_to_normal_form
+from thompsonf.words import Letter, NormalForm, Word, reduce_to_normal_form
 
 
 def random_word(rng: random.Random, max_len=30, max_index=8) -> Word:
@@ -12,3 +13,19 @@ def random_word(rng: random.Random, max_len=30, max_index=8) -> Word:
 
 def random_normal_form(rng: random.Random, max_len=30, max_index=8):
     return reduce_to_normal_form(random_word(rng, max_len, max_index))
+
+
+def small_normal_forms(most=4, indices=range(7)):
+    """Every valid normal form whose halves hold at most `most` indices
+    from `indices`."""
+    halves = [
+        half
+        for size in range(most + 1)
+        for half in itertools.combinations_with_replacement(indices, size)
+    ]
+    for pos in halves:
+        for neg in halves:
+            try:
+                yield NormalForm(pos, neg)
+            except ValueError:
+                pass

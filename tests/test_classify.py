@@ -1,9 +1,9 @@
-import itertools
 import random
 
 import pytest
 
-from conftest import random_normal_form
+from conftest import random_normal_form, small_normal_forms
+from thompsonf import classify
 from thompsonf.classify import (
     ClassLabel,
     DivisorSet,
@@ -15,7 +15,7 @@ from thompsonf.classify import (
 )
 from thompsonf.diagrams import InvariantViolation, epsilon, nf_to_diagram
 from thompsonf.folner import ball
-from thompsonf.words import NormalForm, nf_multiply, parse_word, reduce_to_normal_form
+from thompsonf.words import nf_multiply, parse_word, reduce_to_normal_form
 
 
 def nf(text):
@@ -114,22 +114,6 @@ def length_drop_flags(g):
     )
 
 
-def small_normal_forms(most=4, indices=range(7)):
-    """Every valid normal form whose halves hold at most `most` indices
-    from `indices`."""
-    halves = [
-        half
-        for size in range(most + 1)
-        for half in itertools.combinations_with_replacement(indices, size)
-    ]
-    for pos in halves:
-        for neg in halves:
-            try:
-                yield NormalForm(pos, neg)
-            except ValueError:
-                pass
-
-
 class TestDirectRule:
     """The one-pass rule on pos/neg against the length-drop definition."""
 
@@ -211,3 +195,30 @@ class TestChecks:
         rng = random.Random(103)
         sample = [random_normal_form(rng, max_len=16) for _ in range(300)]
         assert check_closures(sample) == []
+
+    def test_violations_come_in_element_then_rule_order(self, monkeypatch):
+        # planted violations on a shuffled ball(3), which holds elements
+        # whose strings are prefixes of others' ("x0", "x0 x1")
+        elements = list(ball(3))
+        random.Random(191).shuffle(elements)
+
+        def fake_class(g):
+            return (ClassLabel.M3, ClassLabel.M7)[len(str(g)) % 2]
+
+        monkeypatch.setattr(classify, "class_of", fake_class)
+        expected = []
+        for g in sorted(elements, key=str):
+            cls = fake_class(g)
+            for name, sources, factor, want in classify._CLOSURE_RULES:
+                got = fake_class(nf_multiply(g, factor))
+                if cls in sources and got is not want:
+                    expected.append(f"{g}: rule {name} failed, element is {cls} "
+                                    f"but the product landed in {got}")
+        assert len(expected) > len(elements)
+        assert check_closures(elements) == expected
+
+        monkeypatch.setattr(classify, "_divisor_flags", lambda g: (True,) * 4)
+        assert check_partition(elements) == [
+            f"{g}: divisor set {{X0, X0^-1, X1, X1^-1}} is not admissible"
+            for g in sorted(elements, key=str)
+        ]

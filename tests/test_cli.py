@@ -240,6 +240,13 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err == f"error: element limit must be at least 1, got {limit}\n"
 
+    def test_negative_sample_count_rejected(self, capsys):
+        code, out, err = invoke(
+            capsys, "check", "lemma-del", "--radius", "2", "--samples", "-5"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: sample count must be non-negative, got -5\n"
+
     def test_dropping_everything(self, capsys):
         code, _, err = invoke(
             capsys, "density", "0", "--drop", "M1,M2,M3,M4,M5,M6,M7"

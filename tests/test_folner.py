@@ -418,6 +418,17 @@ class TestProductCounts:
         subgraph_dot(s)
         assert counter_everywhere == []
 
+    def test_operations_across_graphs_make_no_products(self, counter):
+        s = ElementSet.of(list(ball(3)) + [nf("x0^40")])
+        k = ball(1)
+        counter.clear()
+        report = deletion_bound_check(s, k)
+        assert (report.density_before, report.density_after) == (
+            Fraction(52, 27), Fraction(72, 49)
+        )
+        assert (s - k) <= s and (s & k) == k and not s <= k
+        assert counter == []
+
     def test_closure_check_makes_one_product_per_rule(self, counter_everywhere):
         s = ball(7)
         applicable = sum(

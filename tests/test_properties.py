@@ -11,7 +11,12 @@ from thompsonf.diagrams import (
     nf_to_diagram,
     parse_diagram,
 )
-from thompsonf.words import nf_multiply, parse_word, reduce_to_normal_form
+from thompsonf.words import (
+    nf_multiply,
+    parse_word,
+    reduce_to_normal_form,
+    reduce_word_by_rewriting,
+)
 
 tokens = st.tuples(
     st.integers(0, 12),
@@ -40,3 +45,15 @@ def test_models_multiply_alike(a, b):
     # the constructor revalidates REDUCED and CANONICAL
     assert CanonicalDiagram(d.top, d.bottom) == d
     assert diagram_to_nf(d) == nf_multiply(a, b)
+
+
+# small exponents keep the one-redex-at-a-time oracle fast
+small_words = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(-3, 3).filter(bool)), max_size=12
+).map(lambda ts: parse_word(" ".join(f"x{i}^{e}" for i, e in ts)))
+
+
+@deep
+@given(small_words)
+def test_letter_steps_match_rewriting(w):
+    assert reduce_to_normal_form(w) == reduce_word_by_rewriting(w)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_normal_form, random_word
+from conftest import random_normal_form, random_word, small_normal_forms
 from thompsonf.folner import ball
 from thompsonf.words import (
     IDENTITY,
@@ -226,3 +226,19 @@ class TestConfluence:
             lt = Letter(rng.randint(0, 8), rng.choice((1, -1)))
             letters[spot:spot] = [lt, Letter(lt.index, -lt.sign)]
             assert reduce_to_normal_form(Word(tuple(letters))) == reduce_to_normal_form(w)
+
+
+class TestLetterSteps:
+    """One letter times a normal form, against the literal rewriting."""
+
+    def test_every_small_form_times_every_letter(self):
+        letters = [Letter(g, sign) for g in range(8) for sign in (1, -1)]
+        count = 0
+        for a in small_normal_forms(3, range(6)):
+            for lt in letters:
+                w = Word(a.word().letters + (lt,))
+                assert nf_multiply(a, reduce_to_normal_form(Word((lt,)))) == (
+                    reduce_word_by_rewriting(w)
+                ), (a, lt)
+                count += 1
+        assert count == 69712
