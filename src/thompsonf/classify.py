@@ -147,7 +147,9 @@ def right_divisors(g: NormalForm) -> DivisorSet:
 
 def class_of(g: NormalForm) -> ClassLabel:
     """The class M1 ... M7 of a group element."""
-    return right_divisors(g).label()
+    flags = _divisor_flags(g)
+    # DivisorSet raises the InvariantViolation that names an inadmissible set
+    return _LEGAL_DIVISOR_SETS.get(flags) or DivisorSet(*flags).label()
 
 
 # (name, applies-to classes, right factor, expected class)

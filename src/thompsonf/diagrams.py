@@ -200,33 +200,39 @@ def cells(d: Diagram) -> int:
 # -- reduction and the product ------------------------------------------------
 
 
-def reduce_dipoles(d: Diagram) -> Diagram:
-    """Cancel matched exposed carets until none remain.  The result does
-    not depend on the cancellation order (tested)."""
-    top, bottom = d.top, d.bottom
+def _cancel_dipoles(top: Forest, bottom: Forest) -> tuple[Forest, Forest]:
+    """Collapse matched exposed carets until none remain."""
     while True:
         common = _common_exposed(top, bottom)
         if not common:
-            return Diagram(top, bottom)
+            return top, bottom
         # descending order keeps the remaining positions valid within a batch
         for k in sorted(common, reverse=True):
             top = forest_collapse_caret(top, k)
             bottom = forest_collapse_caret(bottom, k)
 
 
+def reduce_dipoles(d: Diagram) -> Diagram:
+    """Cancel matched exposed carets until none remain.  The result does
+    not depend on the cancellation order (tested)."""
+    return Diagram(*_cancel_dipoles(d.top, d.bottom))
+
+
 def _trailing_leaves(forest: Forest) -> int:
     return len(forest) - len(forest.rstrip(LEAF))
 
 
-def canonicalize(d: Diagram) -> CanonicalDiagram:
-    """Trim the trailing single-leaf trees common to both forests.  The
-    input must already be free of dipoles."""
-    if _common_exposed(d.top, d.bottom):
-        raise ValueError("cannot canonicalize a diagram that still has dipoles")
-    top, bottom = d.top, d.bottom
+def _trimmed(top: Forest, bottom: Forest) -> CanonicalDiagram:
     # epsilon(k) keeps one edge, as the identity epsilon(1)
     trim = min(_trailing_leaves(top), _trailing_leaves(bottom), len(top) - 1)
     return CanonicalDiagram(top[: len(top) - trim], bottom[: len(bottom) - trim])
+
+
+def canonicalize(d: Diagram) -> CanonicalDiagram:
+    """Trim the trailing single-leaf trees common to both forests.  The
+    input must already be free of dipoles; trimming removes only leaves
+    after the last caret, so CanonicalDiagram rejects any dipole left."""
+    return _trimmed(d.top, d.bottom)
 
 
 def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
@@ -238,7 +244,8 @@ def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
     disagreement gets a dipole inserted there (the leaf splits in both of
     its forests); once the glued forests coincide they cancel against
     each other, leaving the outer pair, which is then reduced and
-    trimmed.
+    trimmed.  All of this works on the forest strings; the result is the
+    only diagram constructed.
 
     Two forests with as many roots first differ, if at all, where one has
     a leaf "." and the other a caret "("; the leaf index there is the
@@ -246,12 +253,9 @@ def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
     before it unchanged, so the scan resumes where it stopped.
     """
     q, s = _roots(d1.bottom), _roots(d2.top)
-    if q < s:
-        d1 = diagram_sum(d1, epsilon(s - q))
-    elif s < q:
-        d2 = diagram_sum(d2, epsilon(q - s))
-    t1, b1 = d1.top, d1.bottom
-    t2, b2 = d2.top, d2.bottom
+    # pad both forests of the narrower side; LEAF * n is "" for n <= 0
+    t1, b1 = d1.top + LEAF * (s - q), d1.bottom + LEAF * (s - q)
+    t2, b2 = d2.top + LEAF * (q - s), d2.bottom + LEAF * (q - s)
     pos = 0
     while b1 != t2:
         while b1[pos] == t2[pos]:
@@ -263,7 +267,7 @@ def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
         else:
             t2 = forest_split_leaf(t2, k)
             b2 = forest_split_leaf(b2, k)
-    return canonicalize(reduce_dipoles(Diagram(t1, b2)))
+    return _trimmed(*_cancel_dipoles(t1, b2))
 
 
 # -- conversion to and from normal forms --------------------------------------
@@ -297,17 +301,15 @@ def nf_to_diagram(a: NormalForm) -> CanonicalDiagram:
     Equals the product of atomic(i, +1) over the positive indices in
     order followed by atomic(j, -1) over the negative indices in reverse
     order (tested against that literal fold); for a valid normal form no
-    dipole cancels (canonicalize rejects one), so the result has
-    len(pos) + len(neg) cells.
+    dipole cancels, so the result has len(pos) + len(neg) cells.  The
+    padded pair needs no trim: only the forest with fewer leaves is
+    padded, and the other ends in ")" unless both are ".".  The
+    constructor checks both conditions.
     """
     top = _forest_from_indices(a.pos)
     bottom = _forest_from_indices(a.neg)
     nt, nb = top.count(LEAF), bottom.count(LEAF)
-    if nt < nb:
-        top += LEAF * (nb - nt)
-    elif nb < nt:
-        bottom += LEAF * (nt - nb)
-    return canonicalize(Diagram(top, bottom))
+    return CanonicalDiagram(top + LEAF * (nb - nt), bottom + LEAF * (nt - nb))
 
 
 def diagram_to_nf(d: CanonicalDiagram) -> NormalForm:

@@ -12,10 +12,11 @@ Every set is a byte mask over an interned Cayley graph (`_CayleyGraph`):
 elements numbered 0, 1, 2, ..., a dict from normal form to number, and
 four `array('i')` columns, one per generator in GENERATORS order, holding
 the number of v*g for every element v, or -1 when v*g lies outside the
-graph.  Sort ranks and divisor flags (classify's rule, read off each
-normal form with no product) are derived once per graph, on first use.
-Densities, classes, deletion checks and sort orders read columns, flags
-and masks; none multiplies normal forms.
+graph.  Sort ranks and classes (one byte per element, the value of its
+`class_of` label, read off each normal form with no product) are derived
+once per graph, on first use.  Densities, histograms, deletion checks and
+sort orders read columns, class bytes and masks; none multiplies normal
+forms.
 
 A ball (`_CayleyBall`) is built once, by BFS.  Its elements are numbered
 in BFS order, so each sphere is a run of consecutive numbers, and the
@@ -47,7 +48,7 @@ from functools import lru_cache
 from itertools import chain, compress
 from typing import Iterable, Iterator
 
-from .classify import ClassLabel, DivisorSet, _divisor_flags
+from .classify import ClassLabel, class_of
 from .words import NormalForm, nf_multiply
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
@@ -61,24 +62,15 @@ GENERATORS: tuple[NormalForm, ...] = (
     NormalForm((), (1,)),
 )
 
-# divisor flags (X0, X0^-1, X1, X1^-1) of every 4-bit value, bit f for flag f
-_FLAGS = [tuple(bool(bits >> f & 1) for f in range(4)) for bits in range(16)]
-_BITS = {flags: bits for bits, flags in enumerate(_FLAGS)}
-
 
 class ResourceLimitError(RuntimeError):
     """Raised when a ball would exceed the configured element limit."""
 
 
-def _label(bits: int) -> ClassLabel:
-    """The class of a divisor-flag byte; InvariantViolation if inadmissible."""
-    return DivisorSet(*_FLAGS[bits]).label()
-
-
 class _CayleyGraph:
     """Numbered elements and their neighbour columns (module docstring)."""
 
-    __slots__ = ("elements", "number", "columns", "_rank", "_flags", "__weakref__")
+    __slots__ = ("elements", "number", "columns", "_rank", "_classes", "__weakref__")
 
     def __init__(self, elements: list[NormalForm], number: dict[NormalForm, int],
                  columns: tuple[array, ...]) -> None:
@@ -86,7 +78,7 @@ class _CayleyGraph:
         self.number = number
         self.columns = columns
         self._rank: array | None = None
-        self._flags: bytes | None = None
+        self._classes: bytes | None = None
 
     def rank(self) -> array:
         """Position of every element in the order of formatted normal forms;
@@ -99,12 +91,11 @@ class _CayleyGraph:
             self._rank = rank
         return self._rank
 
-    def flags(self) -> bytes:
-        """Divisor flags of every element as bits (1 X0, 2 X0^-1, 4 X1,
-        8 X1^-1), by classify's rule on each normal form."""
-        if self._flags is None:
-            self._flags = bytes(_BITS[_divisor_flags(v)] for v in self.elements)
-        return self._flags
+    def classes(self) -> bytes:
+        """The class of every element, as the value 1 ... 7 of its label."""
+        if self._classes is None:
+            self._classes = bytes(class_of(v).value for v in self.elements)
+        return self._classes
 
 
 def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
@@ -322,10 +313,8 @@ def subgraph_density(s: ElementSet) -> SubgraphStats:
 
 def class_histogram(s: ElementSet) -> dict[ClassLabel, int]:
     """Element count per class, with every label present in M1..M7 order."""
-    counts = {label: 0 for label in ClassLabel}
-    for bits, count in Counter(compress(s._graph.flags(), s._mask)).items():
-        counts[_label(bits)] += count
-    return counts
+    counts = Counter(compress(s._graph.classes(), s._mask))
+    return {label: counts[label.value] for label in ClassLabel}
 
 
 def mu_hat(s: ElementSet, z: ElementSet) -> Fraction:
@@ -337,14 +326,11 @@ def mu_hat(s: ElementSet, z: ElementSet) -> Fraction:
 
 def drop_classes(s: ElementSet, classes: Iterable[ClassLabel]) -> ElementSet:
     """Remove every element whose class lies in `classes`."""
-    dropped = set(classes)
+    dropped = {label.value for label in classes}
     if not dropped:
         return s
-    flags = s._graph.flags()
-    keep = bytearray(256)
-    for bits in set(compress(flags, s._mask)):
-        keep[bits] = _label(bits) not in dropped
-    return s & ElementSet._view(s._graph, flags.translate(keep) + b"\0")
+    keep = bytes(value not in dropped for value in range(256))
+    return s & ElementSet._view(s._graph, s._graph.classes().translate(keep) + b"\0")
 
 
 def translate_set(s: ElementSet, g: NormalForm) -> ElementSet:

@@ -102,10 +102,6 @@ class NormalForm:
                     f"x{i + 1}^-1 does"
                 )
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.pos and not self.neg
-
     def word(self) -> Word:
         letters = tuple(Letter(i, 1) for i in self.pos) + tuple(
             Letter(j, -1) for j in reversed(self.neg)

@@ -164,6 +164,20 @@ class TestClassification:
             letters[spot:spot] = [Letter(idx, 1), Letter(idx, -1)]
             assert class_of(red(Word(tuple(letters)))) is class_of(g)
 
+    def test_class_of_builds_no_divisor_set(self, monkeypatch):
+        built = []
+        post_init = DivisorSet.__post_init__
+        monkeypatch.setattr(DivisorSet, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        assert check_closures(ball(7)) == []
+        assert built == []
+        # an inadmissible set still raises, through the public value type
+        monkeypatch.setattr(classify, "_divisor_flags", lambda g: (True,) * 4)
+        with pytest.raises(InvariantViolation,
+                           match="is not one of the seven admissible sets"):
+            class_of(nf("x0"))
+        assert len(built) == 1
+
     def test_x0_divisor_is_exclusive(self):
         # whenever X0 divides, nothing else from the candidate set does
         rng = random.Random(97)

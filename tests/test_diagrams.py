@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_normal_form
+from thompsonf import diagrams
 from thompsonf.diagrams import (
     LEAF,
     CanonicalDiagram,
@@ -221,6 +222,24 @@ class TestProduct:
             for i in (0, 1, 2):
                 for s in (1, -1):
                     assert abs(cells(concat_product(d, atomic(i, s))) - cells(d)) == 1
+
+    def test_one_construction_per_returned_diagram(self, monkeypatch):
+        # padded on the right factor, padded on the left one, cancelling
+        products = [(atomic(3, 1), atomic(0, -1)), (atomic(0, -1), atomic(3, 1)),
+                    (atomic(0, 1), mirror(atomic(0, 1)))]
+        words = [nf(text) for text in ("e", "x0^3 x1 x2^-2", "x4 x0^-1", "x0^-1")]
+        checked = []
+        check_forest = diagrams._check_forest
+        monkeypatch.setattr(diagrams, "_check_forest",
+                            lambda forest: checked.append(forest) or check_forest(forest))
+        for d1, d2 in products:
+            checked.clear()
+            d = concat_product(d1, d2)
+            assert checked == [d.top, d.bottom]
+        for a in words:
+            checked.clear()
+            d = nf_to_diagram(a)
+            assert checked == [d.top, d.bottom]
 
     def test_operator_sugar(self):
         assert atomic(1, 1) * atomic(0, 1) == atomic(0, 1) * atomic(2, 1)

@@ -213,9 +213,9 @@ class TestCayleyBall:
 
     def test_flags_match_class_of(self):
         graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
-        flags = graph.flags()
+        classes = graph.classes()
         for u, v in enumerate(graph.elements):
-            assert folner._FLAGS[flags[u]] == right_divisors(v).flags()
+            assert classes[u] == right_divisors(v).label().value
         expected = {label: 0 for label in ClassLabel}
         for v in graph.elements:
             expected[class_of(v)] += 1
