@@ -8,7 +8,9 @@ Cayley-graph toolkit with exact rational densities (`folner`).
 """
 
 from .words import (
+    GENERATORS,
     IDENTITY,
+    InvariantViolation,
     Letter,
     NormalForm,
     ParseError,
@@ -26,7 +28,6 @@ from .diagrams import (
     LEAF,
     CanonicalDiagram,
     Diagram,
-    InvariantViolation,
     atomic,
     canonicalize,
     cells,
@@ -40,6 +41,7 @@ from .diagrams import (
     nf_to_diagram,
     parse_diagram,
     reduce_dipoles,
+    right_divisible,
 )
 from .classify import (
     ClassLabel,
@@ -47,12 +49,10 @@ from .classify import (
     check_closures,
     check_partition,
     class_of,
-    right_divisible,
     right_divisors,
 )
 from .folner import (
     DEFAULT_ELEMENT_LIMIT,
-    GENERATORS,
     DeletionBoundReport,
     ElementSet,
     ResourceLimitError,

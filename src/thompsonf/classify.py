@@ -28,8 +28,8 @@ x1^-1 drops one exactly when k is in pos and k+1 in neither half
 (`words._times_negative`); otherwise each adds a letter.  Likewise for
 x0 and x0^-1 with 0 in place of k.
 
-`right_divisible` applies the definition literally to a diagram and is
-kept as the oracle this rule is tested against.
+`diagrams.right_divisible` applies the definition literally to a
+diagram and is the oracle this rule is tested against.
 
 `check_partition` and `check_closures` verify, on a finite set of
 elements, that no other divisor set occurs and that right multiplication
@@ -40,17 +40,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable
 
-from .diagrams import (
-    CanonicalDiagram,
-    InvariantViolation,
-    atomic,
-    cells,
-    concat_product,
-)
-from .words import NormalForm, _landing, nf_multiply
+from .words import GENERATORS, InvariantViolation, NormalForm, _landing, nf_multiply
 
 
 class ClassLabel(enum.Enum):
@@ -104,28 +98,13 @@ class DivisorSet:
         return (self.x0, self.x0_inv, self.x1, self.x1_inv)
 
     def members(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, flag in zip(_DIVISOR_NAMES, self.flags()) if flag
-        )
+        return tuple(compress(_DIVISOR_NAMES, self.flags()))
 
     def label(self) -> ClassLabel:
         return _LEGAL_DIVISOR_SETS[self.flags()]
 
 
-def right_divisible(d: CanonicalDiagram, index: int, sign: int) -> bool:
-    """Whether d factors as some diagram followed by atomic(index, sign).
-
-    Implemented literally: multiply by the mirrored atomic and watch the
-    cell count drop by one.
-    """
-    probe = atomic(index, -sign)
-    return cells(concat_product(d, probe)) == cells(d) - 1
-
-
-_X0 = NormalForm((0,), ())
-_X0_INV = NormalForm((), (0,))
-_X1 = NormalForm((1,), ())
-_X1_INV = NormalForm((), (1,))
+_X0, _X0_INV, _X1, _X1_INV = GENERATORS
 
 
 def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
@@ -193,8 +172,6 @@ def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     for g in elements:
         flags = _divisor_flags(g)
         if flags not in _LEGAL_DIVISOR_SETS:
-            found = ", ".join(
-                name for name, flag in zip(_DIVISOR_NAMES, flags) if flag
-            )
+            found = ", ".join(compress(_DIVISOR_NAMES, flags))
             violations.append((str(g), f"{g}: divisor set {{{found}}} is not admissible"))
     return [line for _, line in sorted(violations, key=itemgetter(0))]

@@ -20,6 +20,9 @@ group elements uniquely.
 Multiplication pads the narrower boundary with trivial edges, grows the
 two forests meeting at the glued path to their least common refinement
 by inserting dipoles, glues, cancels dipoles, and trims.
+
+`right_divisible` applies the definition of a right divisor literally;
+`classify` reads the same flags off normal forms and is tested against it.
 """
 
 from __future__ import annotations
@@ -28,16 +31,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .words import NormalForm, ParseError
+from .words import InvariantViolation, NormalForm, ParseError
 
 Forest = str
 
 LEAF: Forest = "."
 _CARET = "(..)"
-
-
-class InvariantViolation(RuntimeError):
-    """An internal structural invariant failed; this always signals a bug."""
 
 
 def _check_forest(forest) -> None:
@@ -158,7 +157,8 @@ def forest_collapse_caret(forest: Forest, k: int) -> Forest:
 
 def epsilon(k: int) -> Diagram:
     """The diagram with no cells on a path of k edges.  epsilon(1) is the
-    canonical identity element; wider copies only serve as padding."""
+    canonical identity element; for k > 1 it is a non-canonical diagram
+    of the identity, the unit of `diagram_sum` on k edges."""
     if k < 1:
         raise ValueError("the base path must have at least one edge")
     if k == 1:
@@ -187,14 +187,24 @@ def mirror(d: Diagram) -> Diagram:
 
 
 def diagram_sum(d1: Diagram, d2: Diagram) -> Diagram:
-    """Place d2 to the right of d1.  The result is generally not canonical;
-    it exists for padding."""
+    """Place d2 to the right of d1, the sum `d1 + d2`.  The result is
+    generally not canonical."""
     return Diagram(d1.top + d2.top, d1.bottom + d2.bottom)
 
 
 def cells(d: Diagram) -> int:
     """Total number of cells, i.e. carets in both forests."""
     return d.top.count("(") + d.bottom.count("(")
+
+
+def right_divisible(d: CanonicalDiagram, index: int, sign: int) -> bool:
+    """Whether d factors as some diagram followed by atomic(index, sign).
+
+    Implemented literally: multiply by the mirrored atomic and watch the
+    cell count drop by one.
+    """
+    probe = atomic(index, -sign)
+    return cells(concat_product(d, probe)) == cells(d) - 1
 
 
 # -- reduction and the product ------------------------------------------------

@@ -49,18 +49,9 @@ from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .classify import ClassLabel, class_of
-from .words import NormalForm, nf_multiply
+from .words import GENERATORS, NormalForm, nf_multiply
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
-
-# right-multiplication alphabet, in fixed BFS order; GENERATORS[k ^ 1] is
-# the inverse of GENERATORS[k]
-GENERATORS: tuple[NormalForm, ...] = (
-    NormalForm((0,), ()),
-    NormalForm((), (0,)),
-    NormalForm((1,), ()),
-    NormalForm((), (1,)),
-)
 
 
 class ResourceLimitError(RuntimeError):
@@ -92,7 +83,9 @@ class _CayleyGraph:
         return self._rank
 
     def classes(self) -> bytes:
-        """The class of every element, as the value 1 ... 7 of its label."""
+        """The class of every element, as the value 1 ... 7 of its label.  The
+        whole graph is classified on first use, however small the set (ball(8):
+        11,237 `class_of` calls), so later histograms and drops on it are free."""
         if self._classes is None:
             self._classes = bytes(class_of(v).value for v in self.elements)
         return self._classes
@@ -395,8 +388,8 @@ def density_csv(label: str, stats: SubgraphStats) -> str:
 
 
 def elements_csv(s: ElementSet) -> str:
-    lines = ["element"]
-    lines.extend(str(v) for v in s.sorted_members())
+    lines = ["element"]  # sorted_members order: the strings are unique
+    lines.extend(sorted(map(str, s)))
     return "\n".join(lines) + "\n"
 
 

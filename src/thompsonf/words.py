@@ -43,6 +43,10 @@ class ParseError(ValueError):
     """Raised when a word or diagram string does not match its grammar."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal structural invariant failed; this always signals a bug."""
+
+
 class Letter(NamedTuple):
     """One signed generator occurrence x_index^sign with sign in {+1, -1}."""
 
@@ -57,6 +61,8 @@ class Word:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.letters) is not tuple:
+            raise TypeError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for lt in self.letters:
             if lt.index < 0:
                 raise ValueError(f"negative generator index in {lt}")
@@ -87,6 +93,8 @@ class NormalForm:
 
     def __post_init__(self) -> None:
         for half, name in ((self.pos, "pos"), (self.neg, "neg")):
+            if type(half) is not tuple:
+                raise TypeError(f"{name} must be a tuple, got {type(half).__name__}")
             last = 0
             for i in half:
                 if i < 0:
@@ -120,9 +128,20 @@ class NormalForm:
 
 IDENTITY = NormalForm()
 
+# right-multiplication alphabet, in fixed BFS order; GENERATORS[k ^ 1] is
+# the inverse of GENERATORS[k]
+GENERATORS: tuple[NormalForm, ...] = (
+    NormalForm((0,), ()),
+    NormalForm((), (0,)),
+    NormalForm((1,), ()),
+    NormalForm((), (1,)),
+)
+
 _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?)(\d+))?\Z")
 
-# Longest word parse_word expands; reducing x0^10000 takes seconds.
+# Longest word parse_word expands.  Reduction is quadratic: on a 2-CPU box,
+# x0^10000 takes 0.15 s, and x0^-5000 x1^5000 0.85 s, as each x1 walks the
+# 5,000 leading x0^-1 in `_landing`.
 MAX_WORD_LETTERS = 10_000
 # Largest generator index parse_word accepts; a diagram of x_n has forests
 # n + 2 leaves wide, so the cap also bounds what `diagram` prints.

@@ -10,10 +10,9 @@ from thompsonf.classify import (
     check_closures,
     check_partition,
     class_of,
-    right_divisible,
     right_divisors,
 )
-from thompsonf.diagrams import InvariantViolation, epsilon, nf_to_diagram
+from thompsonf.diagrams import InvariantViolation, epsilon, nf_to_diagram, right_divisible
 from thompsonf.folner import ball
 from thompsonf.words import nf_multiply, parse_word, reduce_to_normal_form
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -220,6 +221,25 @@ class TestCayleyBall:
         for v in graph.elements:
             expected[class_of(v)] += 1
         assert class_histogram(ball(8)) == expected
+
+    def test_classes_are_derived_once_per_graph(self, monkeypatch):
+        calls = []
+
+        def counting(v):
+            calls.append(1)
+            return class_of(v)
+
+        monkeypatch.setattr(folner, "class_of", counting)
+        _ball_members.cache_clear()
+        s = ball(8)
+        # the first histogram classifies the whole graph, however small the set
+        small = s & ElementSet.of([nf("x0^8"), nf("x1")])
+        assert sum(class_histogram(small).values()) == 2
+        assert len(calls) == len(s) == 11237
+        calls.clear()
+        assert sum(class_histogram(s).values()) == len(s)
+        assert len(drop_classes(s, [ClassLabel.M1, ClassLabel.M6])) > 0
+        assert calls == []
 
     def test_sorted_members_order(self):
         rng = random.Random(137)
@@ -528,6 +548,13 @@ class TestOutputFormats:
     def test_elements_csv_golden(self):
         csv = elements_csv(ball(1))
         assert csv == "element\ne\nx0\nx0^-1\nx1\nx1^-1\n"
+
+    def test_elements_csv_digest_on_ball_eight(self):
+        csv = elements_csv(ball(8))
+        assert csv.count("\n") == 1 + len(ball(8))
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "23dfd5e7dbdb94a09c44408d777e181d523a672c2d68472f606bbef425918e17"
+        )
 
     def test_subgraph_dot(self):
         dot = subgraph_dot(ball(1))

@@ -1,0 +1,57 @@
+"""The package-internal import graph: the normal-form stack
+words -> classify -> folner never imports the diagram model."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thompsonf"
+
+
+def internal_imports(path):
+    """Names of the package modules that the module at `path` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] == "thompsonf":
+                parts = node.module.split(".")[1:]
+            elif node.level == 1:
+                parts = node.module.split(".") if node.module else []
+            else:
+                continue
+            if parts:
+                found.add(parts[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "thompsonf" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def import_graph():
+    return {p.stem: internal_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_normal_form_stack_stands_on_words():
+    graph = import_graph()
+    assert graph["words"] == set()
+    assert graph["diagrams"] == {"words"}
+    assert graph["classify"] == {"words"}
+    assert graph["folner"] == {"classify", "words"}
+
+
+def test_only_the_front_ends_import_diagrams():
+    graph = import_graph()
+    importers = {name for name, imports in graph.items() if "diagrams" in imports}
+    assert importers == {"cli", "__init__"}
+
+
+def test_graph_reader_sees_every_import_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from . import a, b\nfrom .c import x\nfrom .d.e import y\n"
+        "import thompsonf.f\nfrom thompsonf.g import z\nimport os\nfrom os import path\n"
+    )
+    assert internal_imports(module) == {"a", "b", "c", "d", "f", "g"}

@@ -101,6 +101,20 @@ class TestNormalFormType:
     def test_accepts_justified_common_index(self):
         NormalForm((0, 1), (0,))  # x0 x1 x0^-1 is a valid normal form
 
+    @pytest.mark.parametrize("pos, neg, field", [
+        ([0], (), "pos"),
+        ((), [0], "neg"),
+        ((0,), range(0), "neg"),
+    ])
+    def test_rejects_halves_that_are_not_tuples(self, pos, neg, field):
+        # a list half would print fine but neither hash nor multiply
+        with pytest.raises(TypeError, match=f"{field} must be a tuple"):
+            NormalForm(pos, neg)
+
+    def test_word_rejects_letters_that_are_not_a_tuple(self):
+        with pytest.raises(TypeError, match="letters must be a tuple"):
+            Word([Letter(0, 1)])
+
 
 class TestReduce:
     def test_relation_instance(self):
