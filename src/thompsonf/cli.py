@@ -121,7 +121,8 @@ def _cmd_ball(args) -> int:
 def _density_label(radius: int, dropped: list[ClassLabel]) -> str:
     if not dropped:
         return f"ball({radius})"
-    return f"ball({radius})-drop(" + "+".join(str(c) for c in dropped) + ")"
+    names = "+".join(c.name for c in ClassLabel if c in dropped)
+    return f"ball({radius})-drop({names})"
 
 
 def _cmd_density(args) -> int:

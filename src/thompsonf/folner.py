@@ -49,7 +49,7 @@ from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .classify import ClassLabel, class_of
-from .words import GENERATORS, NormalForm, nf_multiply
+from .words import GENERATORS, IDENTITY, NormalForm, nf_multiply
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
 
@@ -106,9 +106,8 @@ class _CayleyBall(_CayleyGraph):
     __slots__ = ("radius", "sphere_starts")
 
     def __init__(self, n: int, limit: int) -> None:
-        identity = NormalForm()
-        elements = [identity]
-        number = {identity: 0}
+        elements = [IDENTITY]
+        number = {IDENTITY: 0}
         columns = tuple(array("i", [-1]) for _ in GENERATORS)
         starts = [0, 1]  # sphere r holds the numbers starts[r] .. starts[r+1]-1
         for radius in range(1, n + 1):

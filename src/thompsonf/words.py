@@ -64,6 +64,8 @@ class Word:
         if type(self.letters) is not tuple:
             raise TypeError(f"letters must be a tuple, got {type(self.letters).__name__}")
         for lt in self.letters:
+            if type(lt) is not Letter or not (type(lt.index) is type(lt.sign) is int):
+                raise TypeError(f"letters must be Letters of two ints, got {lt!r}")
             if lt.index < 0:
                 raise ValueError(f"negative generator index in {lt}")
             if lt.sign not in (1, -1):
@@ -97,6 +99,8 @@ class NormalForm:
                 raise TypeError(f"{name} must be a tuple, got {type(half).__name__}")
             last = 0
             for i in half:
+                if type(i) is not int:
+                    raise TypeError(f"{name} entries must be int, got {type(i).__name__}")
                 if i < 0:
                     raise ValueError(f"negative index {i} in {name}")
                 if i < last:
@@ -124,6 +128,15 @@ class NormalForm:
 
     def __str__(self) -> str:
         return format_word([(i, 1) for i in self.pos] + [(j, -1) for j in reversed(self.neg)])
+
+
+def _trusted(pos: tuple, neg: tuple) -> NormalForm:
+    """A normal form that this module's arithmetic built from checked ones;
+    set without `__init__`, so it is not checked again."""
+    nf = object.__new__(NormalForm)
+    object.__setattr__(nf, "pos", pos)
+    object.__setattr__(nf, "neg", neg)
+    return nf
 
 
 IDENTITY = NormalForm()
@@ -208,9 +221,10 @@ def format_word(letters: Iterable[tuple[int, int]]) -> str:
 # -- incremental reduction ---------------------------------------------------
 #
 # One letter times a normal form is normal again after one local step, as
-# the docstrings below prove; `NormalForm` still checks every result.  A
-# pair is an index in both halves, and its witness is the next index, in
-# either half.  The steps run on every BFS edge, so they stay lean.
+# the docstrings below prove.  So results return through `_trusted`: only
+# the public constructors check, where forms enter, and the tests re-check
+# results.  A pair is an index in both halves, and its witness is the next
+# index, in either half.  The steps run on every BFS edge, so they stay lean.
 
 
 def _landing(neg: tuple, g: int) -> tuple[int, int]:
@@ -262,7 +276,7 @@ def reduce_to_normal_form(w: Word) -> NormalForm:
     neg: tuple = ()
     for index, sign in w.letters:
         pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
-    return NormalForm(pos, neg)
+    return _trusted(pos, neg)
 
 
 def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
@@ -272,13 +286,13 @@ def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
         pos, neg = _times_positive(pos, neg, i)
     for j in reversed(b.neg):
         pos, neg = _times_negative(pos, neg, j)
-    return NormalForm(pos, neg)
+    return _trusted(pos, neg)
 
 
 def nf_invert(a: NormalForm) -> NormalForm:
     """Normal form of the inverse: swap the positive and negative halves.
     The side condition is symmetric, so no further rewriting is needed."""
-    return NormalForm(a.neg, a.pos)
+    return _trusted(a.neg, a.pos)
 
 
 # -- literal small-step rewriting --------------------------------------------

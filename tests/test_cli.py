@@ -93,6 +93,19 @@ class TestBallDensityHistogram:
         assert out == expected
         assert path.read_text() == expected
 
+    @pytest.mark.parametrize("spelling, canonical", [
+        ("M2,M1", "M1,M2"),
+        ("M1,M1", "M1"),
+        ("M7,M1,M7,M3", "M1,M3,M7"),
+    ])
+    def test_drop_label_names_each_class_once_in_order(self, capsys, spelling, canonical):
+        # the same dropped set prints the same row, however it was spelled
+        code, out, _ = invoke(capsys, "density", "2", "--drop", spelling)
+        assert code == 0
+        label = "ball(2)-drop(" + canonical.replace(",", "+") + "),"
+        assert out.splitlines()[1].startswith(label)
+        assert invoke(capsys, "density", "2", "--drop", canonical) == (0, out, "")
+
     def test_histogram(self, capsys, tmp_path):
         path = tmp_path / "hist.csv"
         code, out, _ = invoke(capsys, "histogram", "1", "--csv", str(path))

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import random_normal_form, random_word, small_normal_forms
-from thompsonf.folner import ball
+from thompsonf.classify import check_closures
+from thompsonf.diagrams import diagram_to_nf, nf_to_diagram
+from thompsonf.folner import _ball_members, ball, translate_set
 from thompsonf.words import (
     IDENTITY,
     Letter,
@@ -114,6 +116,71 @@ class TestNormalFormType:
     def test_word_rejects_letters_that_are_not_a_tuple(self):
         with pytest.raises(TypeError, match="letters must be a tuple"):
             Word([Letter(0, 1)])
+
+    @pytest.mark.parametrize("pos, neg, field", [
+        ((1.0,), (), "pos"),
+        ((True,), (), "pos"),
+        ((0, 2), (0.5,), "neg"),
+        ((), (0, False), "neg"),
+    ])
+    def test_rejects_entries_that_are_not_ints(self, pos, neg, field):
+        # a float or bool entry would print as x1.0 or xTrue and multiply on
+        with pytest.raises(TypeError, match=f"{field} entries must be int"):
+            NormalForm(pos, neg)
+
+    @pytest.mark.parametrize("letter", [
+        (0, 1),
+        Letter(0, 1.0),
+        Letter(True, 1),
+        Letter(1.0, -1),
+    ])
+    def test_word_rejects_entries_that_are_not_int_letters(self, letter):
+        with pytest.raises(TypeError, match="letters must be Letters of two ints"):
+            Word((Letter(0, 1), letter))
+
+
+class TestCheckedOnce:
+    """Normal forms are checked where they enter, by the public constructor;
+    the arithmetic builds its results unchecked, and the tests re-check them."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = NormalForm.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            check(self)
+
+        monkeypatch.setattr(NormalForm, "__post_init__", counting)
+        return calls
+
+    def test_arithmetic_checks_nothing(self, checks):
+        a, b = nf("x0^3 x2 x1^-1"), nf("x1^2 x0^-1 x3^-1")
+        _ball_members.cache_clear()
+        ball(8)
+        assert checks == []
+        check_closures(ball(7))
+        translate_set(ball(3), nf("x0^40"))
+        reduce_to_normal_form(parse_word("x0^500 x1^-300"))
+        nf_multiply(a, b)
+        nf_invert(a)
+        a * b, a.inverse()
+        assert checks == []
+
+    def test_oracles_check_each_result_once(self, checks):
+        w = parse_word("x0^3 x2 x1^-1 x4 x0^-2")
+        g = reduce_to_normal_form(w)
+        d = nf_to_diagram(g)
+        checks.clear()
+        assert reduce_word_by_rewriting(w) == g
+        assert len(checks) == 1
+        assert diagram_to_nf(d) == g
+        assert len(checks) == 2
+
+    def test_ball_elements_pass_the_public_constructor(self):
+        for v in ball(10):
+            assert NormalForm(v.pos, v.neg) == v
 
 
 class TestReduce:
