@@ -18,8 +18,10 @@ diagram epsilon(1) as the sole exception.  Canonical diagrams represent
 group elements uniquely.
 
 Multiplication pads the narrower boundary with trivial edges, grows the
-two forests meeting at the glued path to their least common refinement
-by inserting dipoles, glues, cancels dipoles, and trims.
+two forests meeting at the glued path to their least common refinement,
+glues, cancels dipoles, and trims.  Products and conversions each read
+the forest strings in one left-to-right scan, so their cost is linear
+in forest length.
 
 `right_divisible` applies the definition of a right divisor literally;
 `classify` reads the same flags off normal forms and is tested against it.
@@ -30,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import add
 
 from .words import InvariantViolation, NormalForm, ParseError
 
@@ -211,15 +214,36 @@ def right_divisible(d: CanonicalDiagram, index: int, sign: int) -> bool:
 
 
 def _cancel_dipoles(top: Forest, bottom: Forest) -> tuple[Forest, Forest]:
-    """Collapse matched exposed carets until none remain."""
-    while True:
-        common = _common_exposed(top, bottom)
-        if not common:
-            return top, bottom
-        # descending order keeps the remaining positions valid within a batch
-        for k in sorted(common, reverse=True):
-            top = forest_collapse_caret(top, k)
-            bottom = forest_collapse_caret(bottom, k)
+    """Collapse matched exposed carets until none remain, in one
+    shift-reduce pass over both forests, which have equal leaf counts.
+
+    Both forests are copied one leaf at a time, so the two copies end in
+    the same leaf.  While both strings then continue with ")" and both
+    copies end in "(..", the two carets cover the same two leaves: they
+    are a dipole, and each collapses to one leaf, which the next ")" may
+    close into another dipole.  Any other ")" closes a caret that is in
+    no dipole, now or after a later collapse, and is copied as it is.
+    So the result is reduced, and as reduction is confluent (tested), it
+    is the pair that cancelling dipoles in any order reaches.
+    """
+    if not _common_exposed(top, bottom):
+        return top, bottom
+    out_top: list[str] = []
+    out_bottom: list[str] = []
+    i = j = 0
+    for _ in range(top.count(LEAF)):
+        end = top.index(LEAF, i) + 1
+        out_top += top[i:end]
+        i = end
+        end = bottom.index(LEAF, j) + 1
+        out_bottom += bottom[j:end]
+        j = end
+        while (top.startswith(")", i) and bottom.startswith(")", j)
+               and out_top[-2] == out_bottom[-2] == LEAF):
+            out_top[-3:] = out_bottom[-3:] = [LEAF]
+            i += 1
+            j += 1
+    return "".join(out_top) + top[i:], "".join(out_bottom) + bottom[j:]
 
 
 def reduce_dipoles(d: Diagram) -> Diagram:
@@ -245,39 +269,76 @@ def canonicalize(d: Diagram) -> CanonicalDiagram:
     return _trimmed(d.top, d.bottom)
 
 
+def _tree_end(forest: Forest, start: int) -> int:
+    """Offset just past the subtree whose root caret opens at `start`."""
+    depth, end = 0, start
+    while True:
+        close = forest.index(")", end)
+        depth += forest.count("(", end, close) - 1
+        end = close + 1
+        if not depth:
+            return end
+
+
+def _graft(forest: Forest, trees: dict[int, Forest]) -> Forest:
+    """`forest` with leaf k replaced by trees[k] for every key k."""
+    pieces = forest.split(LEAF)
+    leaves = [LEAF] * (len(pieces) - 1)
+    for k, tree in trees.items():
+        leaves[k] = tree
+    return "".join(map(add, pieces, leaves)) + pieces[-1]
+
+
 def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
     """Multiply two diagrams.
 
     The narrower of the two glued boundaries is padded with trivial
-    edges.  While the bottom forest of d1 and the top forest of d2
-    disagree somewhere, the diagram holding the leaf at the first
-    disagreement gets a dipole inserted there (the leaf splits in both of
-    its forests); once the glued forests coincide they cancel against
-    each other, leaving the outer pair, which is then reduced and
-    trimmed.  All of this works on the forest strings; the result is the
-    only diagram constructed.
+    edges.  The bottom forest b1 of d1 and the top forest t2 of d2, now
+    with as many roots, are grown to their least common refinement; once
+    the glued forests coincide they cancel against each other, leaving
+    the outer pair, which is then reduced and trimmed.  All of this works
+    on the forest strings; the result is the only diagram constructed.
 
-    Two forests with as many roots first differ, if at all, where one has
-    a leaf "." and the other a caret "("; the leaf index there is the
-    number of "." before it in either string.  A split leaves the text
-    before it unchanged, so the scan resumes where it stopped.
+    The refinement is one scan of b1 and t2 together, with a leaf counter
+    for each side.  The two strings agree until one has a leaf "." where
+    the other starts a subtree T.  If the leaf is leaf k1 of b1, the
+    refinement grows it into T, and so must leaf k1 of the top forest t1:
+    inserting a dipole at a leaf of d1 splits that leaf in both of its
+    forests, so growing it by dipoles into T grows both copies into T.
+    Likewise a leaf k2 of t2 facing a subtree of b1 grows into that
+    subtree in b2.  The scan then resumes after the leaf on one side and
+    after T on the other.  Only t1 and b2 are rebuilt, once each.
     """
     q, s = _roots(d1.bottom), _roots(d2.top)
     # pad both forests of the narrower side; LEAF * n is "" for n <= 0
     t1, b1 = d1.top + LEAF * (s - q), d1.bottom + LEAF * (s - q)
     t2, b2 = d2.top + LEAF * (q - s), d2.bottom + LEAF * (q - s)
-    pos = 0
-    while b1 != t2:
-        while b1[pos] == t2[pos]:
-            pos += 1
-        k = b1.count(LEAF, 0, pos)
-        if b1[pos] == LEAF:
-            t1 = forest_split_leaf(t1, k)
-            b1 = forest_split_leaf(b1, k)
+    into_t1: dict[int, Forest] = {}
+    into_b2: dict[int, Forest] = {}
+    i = j = k1 = k2 = 0
+    while i < len(b1):
+        ch = b1[i]
+        if ch == t2[j]:
+            if ch == LEAF:
+                k1 += 1
+                k2 += 1
+            i += 1
+            j += 1
+        elif ch == LEAF:
+            end = _tree_end(t2, j)
+            into_t1[k1] = t2[j:end]
+            k1 += 1
+            k2 += t2.count(LEAF, j, end)
+            i += 1
+            j = end
         else:
-            t2 = forest_split_leaf(t2, k)
-            b2 = forest_split_leaf(b2, k)
-    return _trimmed(*_cancel_dipoles(t1, b2))
+            end = _tree_end(b1, i)
+            into_b2[k2] = b1[i:end]
+            k1 += b1.count(LEAF, i, end)
+            k2 += 1
+            i = end
+            j += 1
+    return _trimmed(*_cancel_dipoles(_graft(t1, into_t1), _graft(b2, into_b2)))
 
 
 # -- conversion to and from normal forms --------------------------------------
@@ -286,17 +347,34 @@ def concat_product(d1: Diagram, d2: Diagram) -> CanonicalDiagram:
 def _forest_from_indices(indices: tuple[int, ...]) -> Forest:
     """Fold splitting cells over a trivial path: for each index i, pad the
     forest to at least i+1 leaves and split leaf i.  Equals the product of
-    the positive atomic diagrams for `indices` read in order."""
-    forest = LEAF
-    nleaves = 1
+    the positive atomic diagrams for `indices` read in order.
+
+    The indices are non-decreasing, so each new caret lies right of or
+    below the ones before, and in preorder the caret of index i follows
+    exactly i leaves.  The string is therefore written left to right:
+    leaves up to each index, then "(", and each caret closes with ")"
+    once its second child is complete.  Trailing leaves pad the result to
+    the fold's width.
+    """
+    width = 1
     for i in indices:
-        if nleaves < i + 1:
-            forest += LEAF * (i + 1 - nleaves)
-            nleaves = i + 1
-        head, tail = _cut_at_leaf(forest, i)
-        forest = head + _CARET + tail
-        nleaves += 1
-    return forest
+        width = max(width, i + 1) + 1
+    out: list[str] = []
+    has_first: list[bool] = []  # per open caret: is its first child complete
+    leaves = 0
+    for i in (*indices, width):
+        while leaves < i:
+            leaves += 1
+            out.append(LEAF)
+            while has_first and has_first[-1]:
+                has_first.pop()
+                out.append(")")
+            if has_first:
+                has_first[-1] = True
+        out.append("(")
+        has_first.append(False)
+    # the last stop only pads to the fold's width; its "(" is dropped
+    return "".join(out[:-1])
 
 
 def _indices_from_forest(forest: Forest) -> tuple[int, ...]:

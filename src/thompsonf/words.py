@@ -145,7 +145,25 @@ class NormalForm(tuple):
         return nf_invert(self)
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
+        if not isinstance(other, NormalForm):
+            raise TypeError(
+                f"the group product '*' takes two NormalForms, not NormalForm "
+                f"and {type(other).__name__}"
+            )
         return nf_multiply(self, other)
+
+    # tuple's concatenation and repetition mean nothing in the group.  These
+    # raise rather than return NotImplemented, which would fall back to them.
+    def __rmul__(self, other):
+        raise TypeError(
+            f"the group product '*' takes two NormalForms, not "
+            f"{type(other).__name__} and NormalForm"
+        )
+
+    def __add__(self, other):
+        raise TypeError("NormalForm has no '+': the group product is '*'")
+
+    __radd__ = __add__
 
     def __str__(self) -> str:
         pos, neg = self

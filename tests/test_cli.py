@@ -52,6 +52,14 @@ class TestReduceClassifyDiagram:
         expected = "(" * 2000 + "." + ".)" * 2000 + "|" + "." * 2001
         assert (code, out, err) == (0, expected + "\n", "")
 
+    def test_diagram_widest_word(self, capsys):
+        # x0 x1 ... x9999 is a right comb over 10,001 leaves
+        word = " ".join(f"x{i}" for i in range(MAX_WORD_LETTERS))
+        code, out, err = invoke(capsys, "diagram", word)
+        expected = "(." * 10000 + "." + ")" * 10000 + "|" + "." * 10001
+        assert (code, out, err) == (0, expected + "\n", "")
+        assert len(out) == 40_004
+
     def test_diagram_dot_file(self, capsys, tmp_path):
         path = tmp_path / "d.dot"
         code, out, _ = invoke(capsys, "diagram", "x2 x0^-1", "--dot", str(path))

@@ -6,6 +6,7 @@ from conftest import random_normal_form
 from thompsonf import diagrams
 from thompsonf.diagrams import (
     LEAF,
+    _cut_at_leaf,
     CanonicalDiagram,
     Diagram,
     atomic,
@@ -26,8 +27,10 @@ from thompsonf.diagrams import (
     reduce_dipoles,
 )
 from thompsonf.words import (
+    MAX_WORD_LETTERS,
     NormalForm,
     ParseError,
+    nf_invert,
     nf_multiply,
     parse_word,
     reduce_to_normal_form,
@@ -343,3 +346,117 @@ class TestSerialization:
         # one blue arc per top caret, one red arc per bottom caret
         assert first.count("[color=blue]") == 1
         assert first.count("[color=red]") == 1
+
+
+# -- literal references for the one-pass scans --------------------------------
+#
+# concat_product, nf_to_diagram and reduce_dipoles each read their forests in
+# one scan.  These are the step-at-a-time definitions they replace: a dipole
+# inserted at a time, a leaf split per index, and every common exposed caret
+# collapsed per round.
+
+
+def _cancel_in_batches(top, bottom):
+    while True:
+        common = set(exposed_caret_positions(top)) & set(exposed_caret_positions(bottom))
+        if not common:
+            return top, bottom
+        # descending order keeps the remaining positions valid within a batch
+        for k in sorted(common, reverse=True):
+            top = forest_collapse_caret(top, k)
+            bottom = forest_collapse_caret(bottom, k)
+
+
+def _product_by_dipoles(d1, d2):
+    """(top, bottom) of the product: while the glued forests disagree, the
+    diagram holding the leaf at the first disagreement gets a dipole there."""
+    q, s = _roots(d1.bottom), _roots(d2.top)
+    t1, b1 = d1.top + LEAF * (s - q), d1.bottom + LEAF * (s - q)
+    t2, b2 = d2.top + LEAF * (q - s), d2.bottom + LEAF * (q - s)
+    pos = 0
+    while b1 != t2:
+        while b1[pos] == t2[pos]:
+            pos += 1
+        k = b1.count(LEAF, 0, pos)
+        if b1[pos] == LEAF:
+            t1, b1 = forest_split_leaf(t1, k), forest_split_leaf(b1, k)
+        else:
+            t2, b2 = forest_split_leaf(t2, k), forest_split_leaf(b2, k)
+    top, bottom = _cancel_in_batches(t1, b2)
+    trim = min(len(top) - len(top.rstrip(LEAF)), len(bottom) - len(bottom.rstrip(LEAF)),
+               len(top) - 1)
+    return top[: len(top) - trim], bottom[: len(bottom) - trim]
+
+
+def _roots(forest):
+    return forest.count(LEAF) - forest.count("(")
+
+
+def _forest_by_splits(indices):
+    forest = LEAF
+    for i in indices:
+        forest += LEAF * (i + 1 - forest.count(LEAF))
+        head, tail = _cut_at_leaf(forest, i)
+        forest = head + CARET + tail
+    return forest
+
+
+def _diagram_by_splits(a):
+    top, bottom = _forest_by_splits(a.pos), _forest_by_splits(a.neg)
+    nt, nb = top.count(LEAF), bottom.count(LEAF)
+    return top + LEAF * (nb - nt), bottom + LEAF * (nt - nb)
+
+
+def _random_forest(rng, leaves):
+    trees = [LEAF] * leaves
+    for _ in range(rng.randrange(leaves)):
+        k = rng.randrange(len(trees) - 1)
+        trees[k : k + 2] = ["(" + trees[k] + trees[k + 1] + ")"]
+    return "".join(trees)
+
+
+def _wide_family(n):
+    """x0 ... x_{n-1}, x0^n, x1^n and their inverses."""
+    forms = [NormalForm(tuple(range(n)), ()), NormalForm((0,) * n, ()), NormalForm((1,) * n, ())]
+    return forms + [nf_invert(a) for a in forms]
+
+
+def _strings(d):
+    return d.top, d.bottom
+
+
+class TestOnePassScans:
+    def test_product_matches_dipole_refinement(self):
+        rng = random.Random(83)
+        for _ in range(2000):
+            a = random_normal_form(rng, max_len=60)
+            b = random_normal_form(rng, max_len=60)
+            d1, d2 = nf_to_diagram(a), nf_to_diagram(b)
+            assert _strings(concat_product(d1, d2)) == _product_by_dipoles(d1, d2)
+            assert _strings(d1) == _diagram_by_splits(a)
+
+    def test_cancellation_matches_batches(self):
+        rng = random.Random(89)
+        for n in range(30_000):
+            leaves = rng.randint(1, 13)
+            top = _random_forest(rng, leaves)
+            # equal forests cancel in cascades, down to the bare leaves
+            bottom = top if n % 2 else _random_forest(rng, leaves)
+            assert _strings(reduce_dipoles(Diagram(top, bottom))) == _cancel_in_batches(top, bottom)
+
+    def test_wide_and_deep_words(self):
+        for n in (1, 2, 3, 7, 40, 129, 300):
+            family = _wide_family(n)
+            for a in family:
+                assert _strings(nf_to_diagram(a)) == _diagram_by_splits(a)
+            for a in family:
+                for b in family:
+                    d1, d2 = nf_to_diagram(a), nf_to_diagram(b)
+                    assert _strings(concat_product(d1, d2)) == _product_by_dipoles(d1, d2)
+
+
+def test_widest_word_multiplies_by_its_mirror_to_the_identity():
+    # the widest word the CLI accepts; its forests have 10,001 leaves
+    d = nf_to_diagram(NormalForm(tuple(range(MAX_WORD_LETTERS)), ()))
+    assert d.top.count(LEAF) == d.bottom.count(LEAF) == MAX_WORD_LETTERS + 1
+    assert concat_product(d, mirror(d)) == epsilon(1)

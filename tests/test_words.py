@@ -175,6 +175,30 @@ class TestTupleRepresentation:
         assert x == ((0, 2), (1,)) and hash(x) == hash(((0, 2), (1,)))
         assert sorted([nf("x1"), nf("x0^-1"), nf("x0")]) == [nf("x0^-1"), nf("x0"), nf("x1")]
 
+    def test_sequence_protocol_of_the_pair(self):
+        x = nf("x0 x2 x1^-1")
+        assert len(x) == 2 and list(x) == [(0, 2), (1,)]
+        pos, neg = x
+        assert (pos, neg) == ((0, 2), (1,))
+
+    def test_tuple_concatenation_and_repetition_are_refused(self):
+        g, h = nf("x0"), nf("x1")
+        refused = [
+            lambda: g + h,
+            lambda: g + ((0,), ()),
+            lambda: ((0,), ()) + g,
+            lambda: sum([g, h]),
+            lambda: 2 * g,
+            lambda: ((0,), ()) * g,
+        ]
+        for operation in refused:
+            with pytest.raises(TypeError, match="group product"):
+                operation()
+        for other in (2, ((1,), ()), parse_word("x1")):
+            with pytest.raises(TypeError, match="group product"):
+                g * other
+        assert g * h == nf("x0 x1")
+
     def test_checks_live_in_init_and_fields_are_read_only(self):
         # the trusted path skips __init__, and the benchmark tracer counts
         # public constructions by wrapping NormalForm.__dict__["__init__"]
