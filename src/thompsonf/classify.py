@@ -110,13 +110,12 @@ _X0, _X0_INV, _X1, _X1_INV = GENERATORS
 def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
     """Flags ordered (X0, X0^-1, X1, X1^-1), by the rule in the module
     docstring."""
-    pos, neg = g.pos, g.neg
+    pos, neg = g
     k = _landing(neg, 1)[1]
-
-    def closes_pair(i: int) -> bool:
-        return i in pos and i + 1 not in pos and i + 1 not in neg
-
-    return (closes_pair(0), neg[:1] == (0,), closes_pair(k), k in neg)
+    return (0 in pos and 1 not in pos and 1 not in neg,
+            neg[:1] == (0,),
+            k in pos and k + 1 not in pos and k + 1 not in neg,
+            k in neg)
 
 
 def right_divisors(g: NormalForm) -> DivisorSet:

@@ -20,11 +20,16 @@ forms.
 
 A ball (`_CayleyBall`) is built once, by BFS.  Its elements are numbered
 in BFS order, so each sphere is a run of consecutive numbers, and the
-numbering of a smaller ball is a prefix of that of a larger one.  Each
-product u*g = w the BFS computes fills both directions (w*g^-1 = u), and
-the BFS skips the edges it already knows.  A set whose elements all lie
-in a built ball is a mask over the smallest such ball.  Any other set
-spans its own graph when it is made: four products per element, once.
+numbering of a smaller ball is a prefix of that of a larger one.  The BFS
+takes each edge u*g = w with one letter step of `words.GENERATOR_STEPS`,
+the step `nf_multiply` takes for that one-letter right factor, and fills
+both directions (w*g^-1 = u); it skips the edges it already knows.  The
+columns grow one sphere at a time: before a sphere is expanded each is
+padded with -1 by the number of unknown edges out of the sphere, which
+bounds its new elements, and trimmed back to the element count after.
+A set whose elements all lie in a built ball is a mask over the smallest
+such ball.  Any other set spans its own graph when it is made: four
+products per element, once.
 
 Why -1 means "outside the ball": the exponent sum is a homomorphism from
 F to the integers (every relation x_j x_i = x_i x_{j+1} has two letters
@@ -49,7 +54,8 @@ from itertools import chain, compress
 from typing import Iterable, Iterator
 
 from .classify import ClassLabel, class_of
-from .words import GENERATORS, IDENTITY, NormalForm, nf_multiply
+from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, NormalForm, _trusted,
+                    nf_multiply)
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
 
@@ -101,7 +107,8 @@ def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
 
 
 class _CayleyBall(_CayleyGraph):
-    """The radius-n ball, built by one BFS (module docstring)."""
+    """The radius-n ball, built by one BFS of letter steps, its columns
+    grown a sphere at a time (module docstring)."""
 
     __slots__ = ("radius", "sphere_starts")
 
@@ -110,27 +117,33 @@ class _CayleyBall(_CayleyGraph):
         number = {IDENTITY: 0}
         columns = tuple(array("i", [-1]) for _ in GENERATORS)
         starts = [0, 1]  # sphere r holds the numbers starts[r] .. starts[r+1]-1
+        steps = tuple(enumerate(GENERATOR_STEPS))
         for radius in range(1, n + 1):
-            for u in range(starts[-2], starts[-1]):
-                v = elements[u]
-                for k, g in enumerate(GENERATORS):
+            first, end = starts[-2], starts[-1]
+            # each unknown edge out of the sphere adds at most one element
+            room = sum(column[first:end].count(-1) for column in columns)
+            padding = array("i", [-1]) * room
+            for column in columns:
+                column.extend(padding)
+            for u in range(first, end):
+                pos, neg = elements[u]
+                for k, (step, i) in steps:
                     if columns[k][u] >= 0:
                         continue
-                    w = nf_multiply(v, g)
-                    j = number.get(w)
-                    if j is None:
-                        if len(elements) >= limit:
+                    size = len(elements)
+                    w = _trusted(*step(pos, neg, i))
+                    j = number.setdefault(w, size)
+                    if j == size:
+                        if size >= limit:
                             raise ResourceLimitError(
                                 f"element limit {limit} exceeded at radius {radius} "
                                 f"(radius {radius - 1} completed)"
                             )
-                        j = len(elements)
-                        number[w] = j
                         elements.append(w)
-                        for column in columns:
-                            column.append(-1)
                     columns[k][u] = j
                     columns[k ^ 1][j] = u
+            for column in columns:
+                del column[len(elements):]
             starts.append(len(elements))
         super().__init__(elements, number, columns)
         self.radius = n

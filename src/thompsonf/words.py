@@ -178,15 +178,6 @@ def _trusted(pos: tuple, neg: tuple) -> NormalForm:
 
 IDENTITY = NormalForm()
 
-# right-multiplication alphabet, in fixed BFS order; GENERATORS[k ^ 1] is
-# the inverse of GENERATORS[k]
-GENERATORS: tuple[NormalForm, ...] = (
-    NormalForm((0,), ()),
-    NormalForm((), (0,)),
-    NormalForm((1,), ()),
-    NormalForm((), (1,)),
-)
-
 _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?)(\d+))?\Z")
 
 # Longest word parse_word expands.  Reduction is quadratic: on a shared
@@ -306,6 +297,26 @@ def _times_negative(pos: tuple, neg: tuple, g: int) -> tuple[tuple, tuple]:
         return (pos[: at - 1] + tuple([p - 1 for p in pos[at:]]),
                 neg[:k] + tuple([j - 1 for j in neg[k:]]))
     return pos, neg[:k] + (g,) + neg[k:]
+
+
+# right-multiplication alphabet, in fixed BFS order; GENERATORS[k ^ 1] is
+# the inverse of GENERATORS[k]
+GENERATORS: tuple[NormalForm, ...] = (
+    NormalForm((0,), ()),
+    NormalForm((), (0,)),
+    NormalForm((1,), ()),
+    NormalForm((), (1,)),
+)
+
+# GENERATOR_STEPS[k] = (step, i): for a normal form v = (pos, neg),
+# step(pos, neg, i) is the (pos, neg) of v * GENERATORS[k], the one letter
+# step that nf_multiply takes for that right factor
+GENERATOR_STEPS = (
+    (_times_positive, 0),
+    (_times_negative, 0),
+    (_times_positive, 1),
+    (_times_negative, 1),
+)
 
 
 def reduce_to_normal_form(w: Word) -> NormalForm:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,14 @@ from thompsonf.folner import (
     translate_set,
     _ball_members,
 )
-from thompsonf.words import NormalForm, nf_multiply, parse_word, reduce_to_normal_form
+from thompsonf.words import (
+    GENERATOR_STEPS,
+    IDENTITY,
+    NormalForm,
+    nf_multiply,
+    parse_word,
+    reduce_to_normal_form,
+)
 
 
 def nf(text):
@@ -71,6 +79,29 @@ class TestBall:
     def test_element_limit(self):
         with pytest.raises(ResourceLimitError, match="radius"):
             ball(5, limit=10)
+
+    def test_limit_of_exactly_the_ball_size(self):
+        assert len(ball(6, limit=1381)) == 1381
+        with pytest.raises(ResourceLimitError) as info:
+            ball(6, limit=1380)
+        assert str(info.value) == "element limit 1380 exceeded at radius 6 (radius 5 completed)"
+
+    @pytest.mark.parametrize("limit, radius", [(1, 1), (5, 2), (100, 4)])
+    def test_limit_message_names_the_radius(self, limit, radius):
+        with pytest.raises(ResourceLimitError) as info:
+            ball(6, limit=limit)
+        assert str(info.value) == (
+            f"element limit {limit} exceeded at radius {radius} "
+            f"(radius {radius - 1} completed)"
+        )
+
+    def test_failed_build_leaves_no_partial_ball(self):
+        _ball_members.cache_clear()
+        built = list(folner._BUILT)
+        with pytest.raises(ResourceLimitError):
+            ball(8, limit=5000)
+        assert set(folner._BUILT) <= set(built)
+        assert len(ball(8)) == 11237
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, limit):
@@ -193,8 +224,46 @@ def oracle_edge_count(s):
     return sum(nf_multiply(v, g) in members for v in members for g in GENERATORS)
 
 
+def reference_ball(n):
+    """The BFS one element at a time: one nf_multiply per unknown edge,
+    and one -1 appended to every column per new element."""
+    elements = [IDENTITY]
+    number = {IDENTITY: 0}
+    columns = tuple(array("i", [-1]) for _ in GENERATORS)
+    starts = [0, 1]
+    for _ in range(n):
+        for u in range(starts[-2], starts[-1]):
+            v = elements[u]
+            for k, g in enumerate(GENERATORS):
+                if columns[k][u] >= 0:
+                    continue
+                w = nf_multiply(v, g)
+                j = number.get(w)
+                if j is None:
+                    j = len(elements)
+                    number[w] = j
+                    elements.append(w)
+                    for column in columns:
+                        column.append(-1)
+                columns[k][u] = j
+                columns[k ^ 1][j] = u
+        starts.append(len(elements))
+    return elements, number, columns, starts
+
+
 class TestCayleyBall:
     """The interned ball against the nf_multiply and class_of oracles."""
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_bfs_matches_the_reference(self, n):
+        elements, number, columns, starts = reference_ball(n)
+        graph = folner._CayleyBall(n, DEFAULT_ELEMENT_LIMIT)
+        assert graph.elements == elements
+        assert list(graph.number.items()) == list(number.items())
+        assert [list(c) for c in graph.columns] == [list(c) for c in columns]
+        assert graph.sphere_starts == starts
+        # no padding is left behind
+        assert all(len(c) == len(elements) for c in graph.columns)
 
     def test_columns_match_nf_multiply(self):
         graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
@@ -381,11 +450,23 @@ class TestProductCounts:
         monkeypatch.setattr(classify, "nf_multiply", folner.nf_multiply)
         return counter
 
-    def test_bfs_skips_known_edges(self, counter):
+    def test_bfs_skips_known_edges(self, counter, monkeypatch):
+        steps = []
+
+        def counting(step):
+            def counted(pos, neg, i):
+                steps.append(1)
+                return step(pos, neg, i)
+            return counted
+
+        monkeypatch.setattr(folner, "GENERATOR_STEPS",
+                            tuple((counting(step), i) for step, i in GENERATOR_STEPS))
         _ball_members.cache_clear()
         ball(8)
-        # one product per edge from sphere r to sphere r + 1, r < 8
-        assert len(counter) == 11720
+        # one letter step per edge from sphere r to sphere r + 1, r < 8, and
+        # no product through nf_multiply
+        assert len(steps) == 11720
+        assert counter == []
 
     def test_density_and_deletion_check_make_no_products(self, counter):
         _ball_members.cache_clear()

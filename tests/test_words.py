@@ -3,12 +3,16 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_normal_form, random_word, small_normal_forms
 from thompsonf.classify import check_closures
 from thompsonf.diagrams import diagram_to_nf, nf_to_diagram
 from thompsonf.folner import _ball_members, ball, translate_set
 from thompsonf.words import (
+    GENERATOR_STEPS,
+    GENERATORS,
     IDENTITY,
     Letter,
     NormalForm,
@@ -403,3 +407,23 @@ class TestLetterSteps:
                 ), (a, lt)
                 count += 1
         assert count == 69712
+
+    @staticmethod
+    def assert_generator_steps_agree(v):
+        pos, neg = v
+        for (step, i), g in zip(GENERATOR_STEPS, GENERATORS):
+            # the public constructor checks that the step's result is normal
+            w = NormalForm(*step(pos, neg, i))
+            assert w == nf_multiply(v, g), (v, g)
+            assert w == reduce_word_by_rewriting(Word(v.word().letters + g.word().letters))
+
+    def test_generator_steps_on_ball_six(self):
+        for v in ball(6):
+            self.assert_generator_steps_agree(v)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, 12), st.integers(-6, 6).filter(bool)),
+                    max_size=30))
+    def test_generator_steps_on_drawn_forms(self, tokens):
+        word = " ".join(f"x{i}^{e}" for i, e in tokens)
+        self.assert_generator_steps_agree(reduce_to_normal_form(parse_word(word)))
