@@ -10,26 +10,33 @@ touches floating point.
 
 Every set is a byte mask over an interned Cayley graph (`_CayleyGraph`):
 elements numbered 0, 1, 2, ..., a dict from normal form to number, and
-four `array('i')` columns, one per generator in GENERATORS order, holding
-the number of v*g for every element v, or -1 when v*g lies outside the
-graph.  Sort ranks and classes (one byte per element, the value of its
-`class_of` label, read off each normal form with no product) are derived
-once per graph, on first use.  Densities, histograms, deletion checks and
-sort orders read columns, class bytes and masks; none multiplies normal
-forms.
+two `array('i')` columns, for x0 and then x1, holding the number of v*g
+for every element v, or -1 when v*g lies outside the graph.  No column
+holds the x0^-1 and x1^-1 edges, because inside a set they are the x0
+and x1 edges read from the other end: for v, w in the set, v*g^-1 = w
+exactly when w*g = v.  So a density counts the x0 and x1 edges inside
+the set and doubles the count; that needs only that every column entry
+inside the graph is the exact product, which the BFS and the spanned
+graph both guarantee.  Sort ranks and classes (one byte per element, the
+value of its `class_of` label, read off each normal form with no
+product) are derived once per graph, on first use.  Densities,
+histograms, deletion checks and sort orders read columns, class bytes
+and masks; none multiplies normal forms.
 
 A ball (`_CayleyBall`) is built once, by BFS.  Its elements are numbered
 in BFS order, so each sphere is a run of consecutive numbers, and the
 numbering of a smaller ball is a prefix of that of a larger one.  The BFS
 takes each edge u*g = w with one letter step of `words.GENERATOR_STEPS`,
 the step `nf_multiply` takes for that one-letter right factor, and fills
-both directions (w*g^-1 = u); it skips the edges it already knows.  The
-columns grow one sphere at a time: before a sphere is expanded each is
-padded with -1 by the number of unknown edges out of the sphere, which
-bounds its new elements, and trimmed back to the element count after.
-A set whose elements all lie in a built ball is a mask over the smallest
-such ball.  Any other set spans its own graph when it is made: four
-products per element, once.
+both directions (w*g^-1 = u) in four working columns, one per generator
+in GENERATORS order; it skips the edges it already knows.  The columns
+grow one sphere at a time: before a sphere is expanded each is padded
+with -1 by the number of unknown edges out of the sphere, which bounds
+its new elements, and trimmed back to the element count after.  The
+ball keeps the x0 and x1 columns.  A set whose elements all lie in a
+built ball is a mask over the smallest such ball.  Any other set spans
+its own graph when it is made: two products per element (by x0 and x1),
+once.
 
 Why -1 means "outside the ball": the exponent sum is a homomorphism from
 F to the integers (every relation x_j x_i = x_i x_{j+1} has two letters
@@ -65,7 +72,8 @@ class ResourceLimitError(RuntimeError):
 
 
 class _CayleyGraph:
-    """Numbered elements and their neighbour columns (module docstring)."""
+    """Numbered elements and their x0 and x1 neighbour columns, in that
+    order; every entry is the exact product or -1 (module docstring)."""
 
     __slots__ = ("elements", "number", "columns", "_rank", "_classes", "__weakref__")
 
@@ -98,11 +106,11 @@ class _CayleyGraph:
 
 
 def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
-    """The graph `items` span (four products per element) and its full mask."""
+    """The graph `items` span (two products per element) and its full mask."""
     elements = list(dict.fromkeys(items))
     number = {v: u for u, v in enumerate(elements)}
     columns = tuple(array("i", [number.get(nf_multiply(v, g), -1) for v in elements])
-                    for g in GENERATORS)
+                    for g in GENERATORS[::2])
     return _CayleyGraph(elements, number, columns), b"\1" * len(elements) + b"\0"
 
 
@@ -145,7 +153,7 @@ class _CayleyBall(_CayleyGraph):
             for column in columns:
                 del column[len(elements):]
             starts.append(len(elements))
-        super().__init__(elements, number, columns)
+        super().__init__(elements, number, columns[::2])
         self.radius = n
         self.sphere_starts = starts
 
@@ -307,12 +315,14 @@ def ball(n: int, limit: int = DEFAULT_ELEMENT_LIMIT) -> ElementSet:
 
 def subgraph_density(s: ElementSet) -> SubgraphStats:
     """Density of the subgraph spanned by s: each vertex contributes one
-    oriented edge per generator image that stays inside s."""
+    oriented edge per generator image that stays inside s.  The x_g^-1
+    edges inside s are in bijection with its x_g edges (v*g^-1 = w exactly
+    when w*g = v), so the x0 and x1 edges are counted and doubled."""
     if not len(s):
         raise ValueError("density of the empty set is undefined")
     mask = s._mask  # mask[-1] is the trailing 0, read for a -1 entry
-    edges = sum(sum(map(mask.__getitem__, compress(column, mask)))
-                for column in s._graph.columns)
+    edges = 2 * sum(sum(map(mask.__getitem__, compress(column, mask)))
+                    for column in s._graph.columns)
     return SubgraphStats(len(s), edges, Fraction(edges, len(s)))
 
 
@@ -414,8 +424,8 @@ def subgraph_dot(s: ElementSet) -> str:
     for v in ordered:
         lines.append(f'  "{v}";')
     for v in ordered:
-        for k, name in ((0, "x0"), (2, "x1")):
-            w = graph.columns[k][graph.number[v]]
+        for column, name in zip(graph.columns, ("x0", "x1")):
+            w = column[graph.number[v]]
             if mask[w]:  # mask[-1] is the trailing 0
                 lines.append(f'  "{v}" -> "{graph.elements[w]}" [label="{name}"];')
     lines.append("}")

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -166,6 +167,19 @@ class TestCheck:
         args = ("check", "lemma-del", "--radius", "2", "--samples", "20",
                 "--seed", "7")
         assert invoke(capsys, *args) == invoke(capsys, *args)
+
+
+# stdout digests of two commands that print exact densities: a shifted
+# Fraction in any violation line or drop row changes the digest
+@pytest.mark.parametrize("argv, code, digest", [
+    (("check", "lemma-del", "--radius", "3", "--samples", "300", "--seed", "0"), 1,
+     "0b01bf10b748f28c32fb1373fdac2665ad9bf3d3086f069d59fa96d4d604585f"),
+    (("density", "8", "--drop", "M2"), 0,
+     "c8c6f27c2d7db47789c3d45da08b3d5606be15f0b56e18eefecb50ae70a95986"),
+])
+def test_density_outputs_are_pinned(capsys, argv, code, digest):
+    result, out, err = invoke(capsys, *argv)
+    assert (result, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
 
 
 class TestErrors:

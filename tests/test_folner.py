@@ -4,6 +4,8 @@ from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_normal_form
 from thompsonf import classify, folner
@@ -226,7 +228,8 @@ def oracle_edge_count(s):
 
 def reference_ball(n):
     """The BFS one element at a time: one nf_multiply per unknown edge,
-    and one -1 appended to every column per new element."""
+    and one -1 appended to every column per new element.  It keeps all
+    four columns, in GENERATORS order."""
     elements = [IDENTITY]
     number = {IDENTITY: 0}
     columns = tuple(array("i", [-1]) for _ in GENERATORS)
@@ -251,6 +254,20 @@ def reference_ball(n):
     return elements, number, columns, starts
 
 
+def assert_columns_match_nf_multiply(graph):
+    """The x0 and x1 columns hold the number of v*g, or -1 exactly when v*g
+    lies outside the graph; and v*g^-1 = w lies in the graph exactly when
+    the x_g column sends w to v, so no inverse edge is lost."""
+    assert len(graph.columns) == 2
+    number = graph.number
+    for column, g, inverse in zip(graph.columns, GENERATORS[0::2], GENERATORS[1::2]):
+        assert len(column) == len(graph.elements)
+        backwards = {j: w for w, j in enumerate(column) if j >= 0}
+        for u, v in enumerate(graph.elements):
+            assert column[u] == number.get(nf_multiply(v, g), -1)
+            assert backwards.get(u, -1) == number.get(nf_multiply(v, inverse), -1)
+
+
 class TestCayleyBall:
     """The interned ball against the nf_multiply and class_of oracles."""
 
@@ -260,26 +277,29 @@ class TestCayleyBall:
         graph = folner._CayleyBall(n, DEFAULT_ELEMENT_LIMIT)
         assert graph.elements == elements
         assert list(graph.number.items()) == list(number.items())
-        assert [list(c) for c in graph.columns] == [list(c) for c in columns]
+        # the ball keeps the x0 and x1 columns of the four
+        assert [list(c) for c in graph.columns] == [list(c) for c in columns[0::2]]
         assert graph.sphere_starts == starts
         # no padding is left behind
         assert all(len(c) == len(elements) for c in graph.columns)
 
     def test_columns_match_nf_multiply(self):
         graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
-        inside = set(graph.elements)
         starts = graph.sphere_starts
         radius = [r for r in range(len(starts) - 1) for _ in range(starts[r], starts[r + 1])]
         assert len(radius) == len(graph.elements) == 11237
-        for u, v in enumerate(graph.elements):
-            for k, g in enumerate(GENERATORS):
-                w = nf_multiply(v, g)
-                j = graph.columns[k][u]
-                assert (j < 0) == (w not in inside)
-                if j >= 0:
-                    assert graph.elements[j] == w
-                    # no edge joins two elements of one sphere
-                    assert abs(radius[j] - radius[u]) == 1
+        assert_columns_match_nf_multiply(graph)
+        for column in graph.columns:
+            for u, j in enumerate(column):
+                # no edge joins two elements of one sphere
+                assert j < 0 or abs(radius[j] - radius[u]) == 1
+
+    def test_every_graph_holds_two_columns(self):
+        graphs = [folner._CayleyBall(n, DEFAULT_ELEMENT_LIMIT) for n in range(5)]
+        graphs += [s._graph for s in off_ball_sets()]
+        for graph in graphs:
+            assert len(graph.columns) == 2
+            assert all(len(c) == len(graph.elements) for c in graph.columns)
 
     def test_flags_match_class_of(self):
         graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
@@ -381,20 +401,13 @@ class TestSpannedGraph:
     the nf_multiply and class_of oracles."""
 
     def test_columns_match_nf_multiply(self):
-        sets = off_ball_sets()
-        for s in sets:
+        for s in off_ball_sets():
             graph, members = s._graph, s.members
             assert not isinstance(graph, folner._CayleyBall)
             assert set(graph.elements) == members
-            for u, v in enumerate(graph.elements):
-                assert graph.number[v] == u
-                for k, g in enumerate(GENERATORS):
-                    w = nf_multiply(v, g)
-                    j = graph.columns[k][u]
-                    # -1 exactly when the product lies outside the set
-                    assert (j == -1) == (w not in members)
-                    if j != -1:
-                        assert graph.elements[j] == w
+            assert all(graph.number[v] == u for u, v in enumerate(graph.elements))
+            # the graph is the set, so -1 means the product lies outside it
+            assert_columns_match_nf_multiply(graph)
 
     def test_classes_match_class_of(self):
         dropped = [ClassLabel.M1, ClassLabel.M3, ClassLabel.M6]
@@ -428,6 +441,38 @@ class TestSpannedGraph:
             assert dot.count(" -> ") == len(edges)
             for v, w, name in edges:
                 assert f'"{v}" -> "{w}" [label="{name}"];' in dot
+
+
+_far_elements = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(-3, 3).filter(bool)), max_size=12
+).map(lambda ts: nf_multiply(nf(" ".join(f"x{i}^{e}" for i, e in ts)), nf("x0^40")))
+
+
+@st.composite
+def dense_subsets(draw):
+    """A subset of ball(5), or a subset of the translate of ball(3) by an
+    element of exponent sum at least 28 (off every ball of radius below 25),
+    each element kept with probability one half."""
+    if draw(st.booleans()):
+        whole = ball(5)
+    else:
+        whole = translate_set(ball(3), draw(_far_elements))
+    pool = whole.sorted_members()
+    kept = draw(st.integers(1, 2 ** len(pool) - 1))
+    # `-` keeps the whole set's graph, so edges to the removed elements stay
+    return whole - ElementSet.of(v for i, v in enumerate(pool) if not kept >> i & 1)
+
+
+@settings(deadline=None, max_examples=100)
+@given(dense_subsets())
+def test_inverse_edges_mirror_forward_edges(s):
+    # counted through nf_multiply, not through the columns
+    members = frozenset(s)
+    for g, inverse in zip(GENERATORS[0::2], GENERATORS[1::2]):
+        backward = sum(nf_multiply(v, inverse) in members for v in members)
+        forward = sum(nf_multiply(v, g) in members for v in members)
+        assert backward == forward
+    assert subgraph_density(s).oriented_edge_count == oracle_edge_count(s)
 
 
 class TestProductCounts:
@@ -485,7 +530,7 @@ class TestProductCounts:
         # the counter does see the products a set off every ball spans
         off = pool + [nf("x0^40")]
         s = ElementSet.of(off)
-        assert len(counter) == 4 * len(off)
+        assert len(counter) == 2 * len(off)
         counter.clear()
         subgraph_density(s)
         assert counter == []
@@ -510,7 +555,7 @@ class TestProductCounts:
         members = list(ball(3)) + [nf("x0^40"), nf("x0^41"), nf("x1^-40")]
         counter_everywhere.clear()
         s = ElementSet.of(members)
-        assert len(counter_everywhere) == 4 * len(s)
+        assert len(counter_everywhere) == 2 * len(s)
         counter_everywhere.clear()
         subgraph_density(s)
         class_histogram(s)
