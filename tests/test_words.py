@@ -1,9 +1,11 @@
 import copy
+import hashlib
 import pickle
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_normal_form, random_word, small_normal_forms
@@ -18,6 +20,8 @@ from thompsonf.words import (
     NormalForm,
     ParseError,
     Word,
+    _times_negative,
+    _times_positive,
     format_word,
     from_standard_word,
     nf_invert,
@@ -31,6 +35,21 @@ from thompsonf.words import (
 
 def nf(text):
     return reduce_to_normal_form(parse_word(text))
+
+
+@st.composite
+def banded_words(draw):
+    """Words of up to 60 letters from far-apart index bands: a word
+    within one band folds on count vectors offset by its smallest index,
+    a word mixing bands is too sparse for them and folds on the tuple
+    steps, and runs of one letter make landings pass ranges long enough
+    to be narrowed."""
+    bands = draw(st.lists(st.sampled_from((0, 300, 600, 10**9)), min_size=1, max_size=3))
+    runs = draw(st.lists(st.tuples(st.sampled_from(bands), st.integers(0, 12),
+                                   st.integers(-12, 12).filter(bool)), max_size=60))
+    return Word(tuple(
+        Letter(band + i, 1 if e > 0 else -1) for band, i, e in runs for _ in range(abs(e))
+    )[:60])
 
 
 class TestParse:
@@ -292,6 +311,63 @@ class TestReduce:
         ]
         for text in relators:
             assert from_standard_word(parse_word(text)) == IDENTITY
+
+    # sha256 of str(reduce_to_normal_form(parse_word(text))), recorded from
+    # the tuple-step fold: long words whose forms are deep, wide or sparse
+    FAMILY_DIGESTS = {
+        "x0^10000":
+            "2529c8f4ce6f379c973bf53ff3d6932d83aef2d285393fb770fb0f8f065a855c",
+        "x0^5000 x1^-5000":
+            "3acecff49ee0f58ea21b695d696f8a16e612599b20ba9ca91da36052460c9de3",
+        "x0^-5000 x1^5000":
+            "0b8ee06e8920e596535eacfa8e208a9e31dc3363783a4bbbec68ef506bd30c13",
+        " ".join(f"x{i}" for i in range(10000)):
+            "c38cd187ddbe17168cfcdedef6a989a1970183f5584a6e3e72151eac89af8c04",
+        " ".join(f"x{i}" for i in reversed(range(10000))):
+            "692468342cc7a53a1cd732e6646fbd0106033cdd042537ab570a21e91f51e820",
+        "x10000^-1 " + " ".join(f"x{i}" for i in range(9999)):
+            "b03748f90cb3d07b614672dfd0a4cd6e80e9991d338bce4b2ccec4dcf1122f50",
+        "x0^-1 x10000^-1 " + " ".join(f"x{i}" for i in range(1, 9999)):
+            "7ddd380ce7321ef6eade2b5e938d662a3ad2d237321dc2607c1932aa5faef839",
+        " ".join(["x0 x5000^-1"] * 5000):
+            "d5110cb0f1d30b05843adbdd95a7b361d1be9a6b3901bb29489e4fb2bb84cb07",
+        " ".join(["x0 x10000 x0^-1 x10000^-1"] * 2500):
+            "a9ae54f2d0c0200b4469aa68f8f39c24d826869b02ed5ba1dfd02218f27058e8",
+    }
+
+    @pytest.mark.parametrize("text", FAMILY_DIGESTS, ids=lambda text: text[:24])
+    def test_long_word_family_is_pinned(self, text):
+        out = str(reduce_to_normal_form(parse_word(text)))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.FAMILY_DIGESTS[text]
+
+    @settings(deadline=None, max_examples=400)
+    @given(banded_words())
+    # the last landing passes [4, 37), which is narrowed and holds x34^-1
+    # and x36^-1
+    @example(parse_word("x0^-33 x1^-1 x2^-1 x4"))
+    def test_count_vectors_match_the_tuple_steps(self, w):
+        letters = w.letters
+        pos = neg = ()
+        for index, sign in letters:
+            pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
+        reduced = reduce_to_normal_form(w)
+        assert reduced == (pos, neg)
+        assert NormalForm(*reduced) == reduced
+        if len(letters) <= 12:
+            assert reduced == reduce_word_by_rewriting(w)
+
+    def test_sparse_word_reduces_in_bounded_memory(self):
+        big = 10**9
+        letters = ((0, 1), (big, 1), (0, -1), (big, -1)) * 50
+        w = Word(tuple(Letter(i, sign) for i, sign in letters))
+        tracemalloc.start()
+        try:
+            reduce_to_normal_form(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert reduce_to_normal_form(Word((Letter(10**12, 1),))) == NormalForm((10**12,), ())
 
 
 class TestArithmetic:
