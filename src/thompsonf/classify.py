@@ -26,7 +26,9 @@ below it; x0 lands with index 0 at once).  A right factor x1 cancels,
 dropping a letter, exactly when neg holds k (`words._times_positive`);
 x1^-1 drops one exactly when k is in pos and k+1 in neither half
 (`words._times_negative`); otherwise each adds a letter.  Likewise for
-x0 and x0^-1 with 0 in place of k.
+x0 and x0^-1 with 0 in place of k.  The rule only tests membership and
+slices, so it reads the bytes halves of a packed key (`words.pack`) as it
+reads tuples, and `class_values` classifies a ball without unpacking it.
 
 `diagrams.right_divisible` applies the definition literally to a
 diagram and is the oracle this rule is tested against.
@@ -109,11 +111,11 @@ _X0, _X0_INV, _X1, _X1_INV = GENERATORS
 
 def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
     """Flags ordered (X0, X0^-1, X1, X1^-1), by the rule in the module
-    docstring."""
+    docstring; `g` may also be the (pos, neg) bytes halves of a packed key."""
     pos, neg = g
     k = _landing(neg, 1)[1]
     return (0 in pos and 1 not in pos and 1 not in neg,
-            neg[:1] == (0,),
+            0 in neg[:1],
             k in pos and k + 1 not in pos and k + 1 not in neg,
             k in neg)
 
@@ -128,6 +130,23 @@ def class_of(g: NormalForm) -> ClassLabel:
     flags = _divisor_flags(g)
     # DivisorSet raises the InvariantViolation that names an inadmissible set
     return _LEGAL_DIVISOR_SETS.get(flags) or DivisorSet(*flags).label()
+
+
+class _ClassValues(dict):
+    """Divisor flags to class value; DivisorSet raises the
+    InvariantViolation that names an inadmissible set."""
+
+    def __missing__(self, flags: tuple[bool, bool, bool, bool]) -> int:
+        return DivisorSet(*flags).label().value
+
+
+_CLASS_VALUES = _ClassValues({flags: label.value for flags, label in _LEGAL_DIVISOR_SETS.items()})
+
+
+def class_values(halves: Iterable[tuple]) -> bytes:
+    """The value of `class_of` for every (pos, neg) pair, normal forms or
+    packed-key halves alike, in one pass."""
+    return bytes(map(_CLASS_VALUES.__getitem__, map(_divisor_flags, halves)))
 
 
 # (name, applies-to classes, right factor, expected class)

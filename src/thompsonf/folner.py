@@ -9,31 +9,37 @@ density bound.  All arithmetic uses fractions.Fraction; nothing here
 touches floating point.
 
 Every set is a byte mask over an interned Cayley graph (`_CayleyGraph`):
-elements numbered 0, 1, 2, ..., a dict from normal form to number, and
-two `array('i')` columns, for x0 and then x1, holding the number of v*g
+elements numbered 0, 1, 2, ..., a dict from normal form to number (for a
+ball, unpacked from its keys on first use, see below), and two
+`array('i')` columns, for x0 and then x1, holding the number of v*g
 for every element v, or -1 when v*g lies outside the graph.  No column
 holds the x0^-1 and x1^-1 edges, because inside a set they are the x0
 and x1 edges read from the other end: for v, w in the set, v*g^-1 = w
 exactly when w*g = v.  So a density counts the x0 and x1 edges inside
 the set and doubles the count; that needs only that every column entry
 inside the graph is the exact product, which the BFS and the spanned
-graph both guarantee.  Sort ranks and classes (one byte per element, the
-value of its `class_of` label, read off each normal form with no
-product) are derived once per graph, on first use.  Densities,
-histograms, deletion checks and sort orders read columns, class bytes
-and masks; none multiplies normal forms.
+graph both guarantee.  Sort ranks and classes (one byte per element,
+the value of its `class_of` label, read off the (pos, neg) halves of
+each element with no product) are derived once per graph, on first
+use.  Densities, histograms, deletion checks and sort orders read
+columns, class bytes and masks; none multiplies normal forms.
 
-A ball (`_CayleyBall`) is built once, by BFS.  Its elements are numbered
-in BFS order, so each sphere is a run of consecutive numbers, and the
-numbering of a smaller ball is a prefix of that of a larger one.  The BFS
-takes each edge u*g = w with one letter step of `words.GENERATOR_STEPS`,
-the step `nf_multiply` takes for that one-letter right factor, and fills
-both directions (w*g^-1 = u) in four working columns, one per generator
-in GENERATORS order; it skips the edges it already knows.  The columns
-grow one sphere at a time: before a sphere is expanded each is padded
-with -1 by the number of unknown edges out of the sphere, which bounds
-its new elements, and trimmed back to the element count after.  The
-ball keeps the x0 and x1 columns.  A set whose elements all lie in a
+A ball (`_CayleyBall`) is built once, by BFS, on packed keys: each
+element is one bytes object (`words.pack`), and the BFS dedups them in a
+dict from key to number that it drops when done.  The ball keeps the
+keys; its normal forms and their dict are unpacked only when a set
+operation, a membership test or iteration asks for them, so the ball,
+density, histogram and drop paths build no `NormalForm`.  Elements are
+numbered in BFS order, so each sphere is a run of consecutive numbers,
+and the numbering of a smaller ball is a prefix of that of a larger one.
+The BFS takes each edge u*g = w with one packed letter step of
+`words.GENERATOR_STEPS`, the step `nf_multiply` takes for that
+one-letter right factor, and fills both directions (w*g^-1 = u) in four
+working columns, one per generator in GENERATORS order; it skips the
+edges it already knows.  The columns grow one sphere at a time: before
+a sphere is expanded each is padded with -1 by the number of unknown
+edges out of the sphere, which bounds its new elements, and trimmed
+back to the element count after.  The ball keeps the x0 and x1 columns.  A set whose elements all lie in a
 built ball is a mask over the smallest such ball.  Any other set spans
 its own graph when it is made: two products per element (by x0 and x1),
 once.
@@ -57,39 +63,68 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, starmap
 from typing import Iterable, Iterator
 
-from .classify import ClassLabel, class_of
-from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, NormalForm, _trusted,
-                    nf_multiply)
+from .classify import ClassLabel, class_values
+from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, NormalForm,
+                    format_halves, key_halves, nf_multiply, pack, unpack)
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
+# Largest radius the BFS builds.  Every index and len(pos) in ball(n) is at
+# most n: a letter step moves an index by at most one, and a new index is
+# at most one more than the letter count.  So the steps from sphere n-1
+# read keys below PACKED_MAX, as they need, and the class rules on sphere
+# n probe indices up to n + 2, which must still be a byte.
+_MAX_RADIUS = PACKED_MAX - 1
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a ball would exceed the configured element limit."""
+    """Raised when a ball would exceed the configured element limit, or the
+    largest radius whose elements pack into bytes keys."""
 
 
 class _CayleyGraph:
     """Numbered elements and their x0 and x1 neighbour columns, in that
     order; every entry is the exact product or -1 (module docstring)."""
 
-    __slots__ = ("elements", "number", "columns", "_rank", "_classes", "__weakref__")
+    __slots__ = ("_elements", "_number", "columns", "_rank", "_classes", "__weakref__")
 
-    def __init__(self, elements: list[NormalForm], number: dict[NormalForm, int],
-                 columns: tuple[array, ...]) -> None:
-        self.elements = elements
-        self.number = number
+    def __init__(self, elements: list[NormalForm] | None,
+                 number: dict[NormalForm, int] | None, columns: tuple[array, ...]) -> None:
+        self._elements = elements
+        self._number = number
         self.columns = columns
         self._rank: array | None = None
         self._classes: bytes | None = None
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def elements(self) -> list[NormalForm]:
+        return self._elements
+
+    @property
+    def number(self) -> dict[NormalForm, int]:
+        """Normal form to number, derived on first use."""
+        if self._number is None:
+            self._number = {v: u for u, v in enumerate(self.elements)}
+        return self._number
+
+    def halves(self) -> Iterable[tuple]:
+        """The (pos, neg) halves of every element, in number order."""
+        return self.elements
+
+    def labels(self) -> Iterator[str]:
+        """The formatted normal form of every element, in number order."""
+        return starmap(format_halves, self.halves())
 
     def rank(self) -> array:
         """Position of every element in the order of formatted normal forms;
         each element is formatted once."""
         if self._rank is None:
-            keys = [str(v) for v in self.elements]
+            keys = list(self.labels())
             rank = array("i", [0]) * len(keys)
             for position, u in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
                 rank[u] = position
@@ -99,9 +134,9 @@ class _CayleyGraph:
     def classes(self) -> bytes:
         """The class of every element, as the value 1 ... 7 of its label.  The
         whole graph is classified on first use, however small the set (ball(8):
-        11,237 `class_of` calls), so later histograms and drops on it are free."""
+        11,237 elements), so later histograms and drops on it are free."""
         if self._classes is None:
-            self._classes = bytes(class_of(v).value for v in self.elements)
+            self._classes = class_values(self.halves())
         return self._classes
 
 
@@ -115,18 +150,24 @@ def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
 
 
 class _CayleyBall(_CayleyGraph):
-    """The radius-n ball, built by one BFS of letter steps, its columns
-    grown a sphere at a time (module docstring)."""
+    """The radius-n ball, built by one BFS of packed letter steps, its
+    columns grown a sphere at a time (module docstring).  The elements are
+    kept as packed keys; the normal forms are unpacked on first use."""
 
-    __slots__ = ("radius", "sphere_starts")
+    __slots__ = ("keys", "radius", "sphere_starts")
 
     def __init__(self, n: int, limit: int) -> None:
-        elements = [IDENTITY]
-        number = {IDENTITY: 0}
+        keys = [pack(IDENTITY)]
+        number = {keys[0]: 0}
         columns = tuple(array("i", [-1]) for _ in GENERATORS)
         starts = [0, 1]  # sphere r holds the numbers starts[r] .. starts[r+1]-1
         steps = tuple(enumerate(GENERATOR_STEPS))
         for radius in range(1, n + 1):
+            if radius > _MAX_RADIUS:
+                raise ResourceLimitError(
+                    f"radius {radius} exceeds {_MAX_RADIUS}, the largest radius whose "
+                    f"elements pack into bytes (radius {radius - 1} completed)"
+                )
             first, end = starts[-2], starts[-1]
             # each unknown edge out of the sphere adds at most one element
             room = sum(column[first:end].count(-1) for column in columns)
@@ -134,12 +175,12 @@ class _CayleyBall(_CayleyGraph):
             for column in columns:
                 column.extend(padding)
             for u in range(first, end):
-                pos, neg = elements[u]
-                for k, (step, i) in steps:
+                v = keys[u]
+                for k, step in steps:
                     if columns[k][u] >= 0:
                         continue
-                    size = len(elements)
-                    w = _trusted(*step(pos, neg, i))
+                    size = len(keys)
+                    w = step(v)
                     j = number.setdefault(w, size)
                     if j == size:
                         if size >= limit:
@@ -147,15 +188,25 @@ class _CayleyBall(_CayleyGraph):
                                 f"element limit {limit} exceeded at radius {radius} "
                                 f"(radius {radius - 1} completed)"
                             )
-                        elements.append(w)
+                        keys.append(w)
                     columns[k][u] = j
                     columns[k ^ 1][j] = u
             for column in columns:
-                del column[len(elements):]
-            starts.append(len(elements))
-        super().__init__(elements, number, columns[::2])
+                del column[len(keys):]
+            starts.append(len(keys))
+        super().__init__(None, None, columns[::2])
+        self.keys = keys
         self.radius = n
         self.sphere_starts = starts
+
+    @property
+    def elements(self) -> list[NormalForm]:
+        if self._elements is None:
+            self._elements = list(map(unpack, self.keys))
+        return self._elements
+
+    def halves(self) -> Iterator[tuple[bytes, bytes]]:
+        return map(key_halves, self.keys)
 
 
 # every completed ball still referenced, by the cache or by a set
@@ -176,7 +227,7 @@ def _ball_mask(items: list[NormalForm]) -> tuple[_CayleyBall, bytes] | None:
     if largest is None:
         return None
     number = largest.number
-    mask = bytearray(len(largest.elements) + 1)
+    mask = bytearray(len(largest) + 1)
     for v in items:
         u = number.get(v)
         if u is None:
@@ -185,8 +236,8 @@ def _ball_mask(items: list[NormalForm]) -> tuple[_CayleyBall, bytes] | None:
     # numberings are prefixes of one another, so any ball that is longer
     # than the highest number holds the set
     top = mask.rfind(1)
-    graph = min((b for b in _BUILT if len(b.elements) > top), key=lambda b: b.radius)
-    return graph, bytes(mask[: len(graph.elements)]) + b"\0"
+    graph = min((b for b in _BUILT if len(b) > top), key=lambda b: b.radius)
+    return graph, bytes(mask[: len(graph)]) + b"\0"
 
 
 class ElementSet:
@@ -310,7 +361,7 @@ def ball(n: int, limit: int = DEFAULT_ELEMENT_LIMIT) -> ElementSet:
     if limit < 1:
         raise ValueError(f"element limit must be at least 1, got {limit}")
     graph = _ball_members(n, limit)
-    return ElementSet._view(graph, b"\1" * len(graph.elements) + b"\0")
+    return ElementSet._view(graph, b"\1" * len(graph) + b"\0")
 
 
 def subgraph_density(s: ElementSet) -> SubgraphStats:
@@ -411,7 +462,7 @@ def density_csv(label: str, stats: SubgraphStats) -> str:
 
 def elements_csv(s: ElementSet) -> str:
     lines = ["element"]  # sorted_members order: the strings are unique
-    lines.extend(sorted(map(str, s)))
+    lines.extend(sorted(compress(s._graph.labels(), s._mask)))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,9 @@ in which the i's and the j's are non-decreasing and, whenever some x_i
 and x_i^-1 both occur, x_{i+1} or x_{i+1}^-1 occurs as well.  This module
 parses and prints words, reduces arbitrary words to normal form, and
 implements exact multiplication, inversion, and the change of alphabet
-between the infinite generating set and the standard pair {x0, x1}.
+between the infinite generating set and the standard pair {x0, x1}.  It
+also packs normal forms into bytes keys, on which the Cayley-graph BFS
+takes its letter steps.
 
 Normal forms are reached by orienting the relations into rewriting rules
 (i < j throughout):
@@ -166,8 +168,7 @@ class NormalForm(tuple):
     __radd__ = __add__
 
     def __str__(self) -> str:
-        pos, neg = self
-        return format_word([(i, 1) for i in pos] + [(j, -1) for j in reversed(neg)])
+        return format_halves(*self)
 
 
 def _trusted(pos: tuple, neg: tuple) -> NormalForm:
@@ -248,16 +249,23 @@ def format_word(letters: Iterable[tuple[int, int]]) -> str:
     return " ".join(parts) or "e"
 
 
+def format_halves(pos: tuple | bytes, neg: tuple | bytes) -> str:
+    """The formatted normal form with index halves `pos` and `neg`, given
+    as tuples or as the bytes halves of a packed key."""
+    return format_word([(i, 1) for i in pos] + [(j, -1) for j in reversed(neg)])
+
+
 # -- incremental reduction ---------------------------------------------------
 #
 # One letter times a normal form is normal again after one local step, as
 # the docstrings below prove.  So results return through `_trusted`: only
 # the public constructors check, where forms enter, and the tests re-check
 # results.  A pair is an index in both halves, and its witness is the next
-# index, in either half.  The tuple steps run on every BFS edge and in
-# `nf_multiply`, so they stay lean.  `reduce_to_normal_form` takes the same
-# steps on count vectors, where shifting every index above the landing
-# point is one list insert or delete instead of a rebuilt suffix.
+# index, in either half.  The tuple steps run in `nf_multiply`, so they stay
+# lean.  `reduce_to_normal_form` takes the same steps on count vectors, and
+# the BFS on packed keys (`GENERATOR_STEPS`); in both, shifting every index
+# above the landing point is one C-level operation instead of a rebuilt
+# suffix.
 
 
 def _landing(neg: tuple, g: int) -> tuple[int, int]:
@@ -312,15 +320,103 @@ GENERATORS: tuple[NormalForm, ...] = (
     NormalForm((), (1,)),
 )
 
-# GENERATOR_STEPS[k] = (step, i): for a normal form v = (pos, neg),
-# step(pos, neg, i) is the (pos, neg) of v * GENERATORS[k], the one letter
-# step that nf_multiply takes for that right factor
-GENERATOR_STEPS = (
-    (_times_positive, 0),
-    (_times_negative, 0),
-    (_times_positive, 1),
-    (_times_negative, 1),
-)
+
+# -- packed keys ---------------------------------------------------------------
+#
+# A packed key is one bytes object, bytes((len(pos),)) + bytes(pos) +
+# bytes(neg): the BFS stores balls as keys, one small hashable object per
+# element instead of three tuples.  A form packs when len(pos) and every
+# index are at most PACKED_MAX.  The steps below are `_times_positive` and
+# `_times_negative` for the right factors x0^{+-1} and x1^{+-1} (proofs
+# there), read on keys: an index shift is one `translate` of a slice.  They
+# never saturate a byte as long as their input's bytes stay below
+# PACKED_MAX, which the BFS radius bound (`folner`) guarantees.
+
+PACKED_MAX = 254
+_INC = bytes(range(1, 256)) + b"\xff"  # translate tables: raise an index by one
+_DEC = b"\0" + bytes(range(255))  # and lower it by one
+_BYTE = [bytes((i,)) for i in range(256)]  # one-byte keys parts, built once
+
+
+def pack(v: NormalForm) -> bytes | None:
+    """The packed key of `v`, or None when it does not pack."""
+    pos, neg = v
+    if len(pos) > PACKED_MAX or max(pos[-1:] + neg[-1:], default=0) > PACKED_MAX:
+        return None
+    return bytes((len(pos),)) + bytes(pos) + bytes(neg)
+
+
+def key_halves(key: bytes) -> tuple[bytes, bytes]:
+    """The (pos, neg) halves of a packed key, as bytes."""
+    p = key[0] + 1
+    return key[1:p], key[p:]
+
+
+def unpack(key: bytes) -> NormalForm:
+    """The normal form a packed key holds."""
+    return _trusted(*map(tuple, key_halves(key)))
+
+
+def _key_times_x0(b: bytes) -> bytes:
+    """x0 cancels against a leading 0 of neg, or else enters pos after its
+    zeros, raising the rest of pos and all of neg."""
+    p = b[0]
+    if b[p + 1 : p + 2] == b"\0":
+        return b[: p + 1] + b[p + 2 :]
+    at = 1 + b.count(0, 1, p + 1)
+    return _BYTE[p + 1] + bytes(at) + b[at:].translate(_INC)
+
+
+def _key_times_x0_inv(b: bytes) -> bytes:
+    """x0^-1 takes the shift rule when pos starts with 0 and no index is 1
+    (then neg holds no 0 either, and every index left moves down), or
+    else enters neg first."""
+    p = b[0]
+    if p and b[1] == 0 and b.find(1, 2) < 0:
+        at = 1 + b.count(0, 1, p + 1)
+        return _BYTE[p - 1] + bytes(at - 2) + b[at:].translate(_DEC)
+    return b[: p + 1] + b"\0" + b[p + 1 :]
+
+
+# The x1 steps walk `_landing(neg, 1)` over the neg bytes b[n0:] inline:
+# `at` is the position of neg[k] in b, and g = g' = 1 + k.
+
+
+def _key_times_x1(b: bytes) -> bytes:
+    """x1 cancels against neg[k] == g', or else enters pos after its
+    indices up to g', raising the rest of pos and neg[k:]."""
+    at = n0 = b[0] + 1
+    end = len(b)
+    while at < end and b[at] <= at - n0:
+        at += 1
+    g = 1 + at - n0
+    if at < end and b[at] == g:
+        return b[:at] + b[at + 1 :]
+    q = bisect_right(b, g, 1, n0)
+    return b"".join((_BYTE[n0], b[1:q], _BYTE[g], b[q:n0].translate(_INC), b[n0:at],
+                     b[at:].translate(_INC)))
+
+
+def _key_times_x1_inv(b: bytes) -> bytes:
+    """x1^-1 takes the shift rule when pos holds g' and neither half g'+1,
+    dropping the last g' of pos and lowering the rest of pos and neg[k:];
+    or else it enters neg at k."""
+    at = n0 = b[0] + 1
+    end = len(b)
+    while at < end and b[at] <= at - n0:
+        at += 1
+    g = 1 + at - n0
+    q = bisect_right(b, g, 1, n0)
+    if q > 1 and b[q - 1] == g and b[q : q + 1] != _BYTE[g + 1] and b.find(g + 1, n0) < 0:
+        return b"".join((_BYTE[n0 - 2], b[1 : q - 1], b[q:n0].translate(_DEC), b[n0:at],
+                         b[at:].translate(_DEC)))
+    return b[:at] + _BYTE[g] + b[at:]
+
+
+# GENERATOR_STEPS[k](key) is the key of v * GENERATORS[k], for the form v
+# that `key` holds: the one letter step nf_multiply takes for that right
+# factor, on packed keys
+GENERATOR_STEPS = (_key_times_x0, _key_times_x0_inv, _key_times_x1, _key_times_x1_inv)
 
 
 # A word folds on count vectors when its index spread is at most this many

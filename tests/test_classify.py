@@ -10,11 +10,12 @@ from thompsonf.classify import (
     check_closures,
     check_partition,
     class_of,
+    class_values,
     right_divisors,
 )
 from thompsonf.diagrams import InvariantViolation, epsilon, nf_to_diagram, right_divisible
 from thompsonf.folner import ball
-from thompsonf.words import nf_multiply, parse_word, reduce_to_normal_form
+from thompsonf.words import key_halves, nf_multiply, pack, parse_word, reduce_to_normal_form
 
 
 def nf(text):
@@ -176,6 +177,17 @@ class TestClassification:
                            match="is not one of the seven admissible sets"):
             class_of(nf("x0"))
         assert len(built) == 1
+
+    def test_class_values_read_forms_and_packed_halves(self, monkeypatch):
+        elements = list(ball(6))
+        expected = bytes(class_of(v).value for v in elements)
+        assert class_values(elements) == expected
+        assert class_values(key_halves(pack(v)) for v in elements) == expected
+        monkeypatch.setattr(classify, "_divisor_flags", lambda g: (True,) * 4)
+        for halves in ([nf("x0")], [key_halves(pack(nf("x0")))]):
+            with pytest.raises(InvariantViolation,
+                               match="is not one of the seven admissible sets"):
+                class_values(halves)
 
     def test_x0_divisor_is_exclusive(self):
         # whenever X0 divides, nothing else from the candidate set does

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from array import array
 from fractions import Fraction
 
@@ -104,6 +105,30 @@ class TestBall:
             ball(8, limit=5000)
         assert set(folner._BUILT) <= set(built)
         assert len(ball(8)) == 11237
+
+    def test_radius_guard(self, monkeypatch):
+        _ball_members.cache_clear()
+        monkeypatch.setattr(folner, "_MAX_RADIUS", 3)
+        assert len(ball(3)) == 53
+        with pytest.raises(ResourceLimitError) as info:
+            ball(5)
+        assert str(info.value) == (
+            "radius 4 exceeds 3, the largest radius whose elements pack into bytes "
+            "(radius 3 completed)"
+        )
+        # the element limit still speaks first when it is reached first
+        with pytest.raises(ResourceLimitError, match="element limit 10 exceeded at radius 2"):
+            ball(5, limit=10)
+        _ball_members.cache_clear()
+
+    def test_sphere_sizes(self):
+        graph = folner._CayleyBall(11, DEFAULT_ELEMENT_LIMIT)
+        starts = graph.sphere_starts
+        assert [b - a for a, b in zip(starts, starts[1:])] == [
+            1, 4, 12, 36, 108, 314, 906, 2576, 7280, 20352, 56664, 156570]
+        # every index and len(pos) in sphere r is at most r
+        for r in range(12):
+            assert max(map(max, graph.keys[starts[r] : starts[r + 1]])) <= r
 
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, limit):
@@ -313,12 +338,13 @@ class TestCayleyBall:
 
     def test_classes_are_derived_once_per_graph(self, monkeypatch):
         calls = []
+        flags = classify._divisor_flags
 
         def counting(v):
             calls.append(1)
-            return class_of(v)
+            return flags(v)
 
-        monkeypatch.setattr(folner, "class_of", counting)
+        monkeypatch.setattr(classify, "_divisor_flags", counting)
         _ball_members.cache_clear()
         s = ball(8)
         # the first histogram classifies the whole graph, however small the set
@@ -329,6 +355,38 @@ class TestCayleyBall:
         assert sum(class_histogram(s).values()) == len(s)
         assert len(drop_classes(s, [ClassLabel.M1, ClassLabel.M6])) > 0
         assert calls == []
+
+    def test_class_bytes_read_from_keys_match_class_of(self):
+        graph = folner._CayleyBall(9, DEFAULT_ELEMENT_LIMIT)
+        classes = graph.classes()
+        assert graph._elements is None  # classified without unpacking
+        assert len(classes) == len(graph.elements) == 31589
+        assert list(classes) == [class_of(v).value for v in graph.elements]
+
+    def test_census_path_builds_no_normal_form(self):
+        _ball_members.cache_clear()
+        s = ball(10)
+        assert subgraph_density(s).oriented_edge_count == 186256
+        assert class_histogram(s)[ClassLabel.M6] == 16257
+        m6 = drop_classes(s, [label for label in ClassLabel if label is not ClassLabel.M6])
+        assert subgraph_density(m6).density == Fraction(4516, 5419)
+        assert s._graph._elements is None and s._graph._number is None
+        small = ball(6)
+        text = elements_csv(small)
+        assert small._graph._elements is None
+        assert text.splitlines()[1:] == sorted(map(str, small))
+        _ball_members.cache_clear()
+
+    def test_packed_ball_memory(self):
+        tracemalloc.start()
+        try:
+            graph = folner._CayleyBall(10, DEFAULT_ELEMENT_LIMIT)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(graph) == 88253
+        # keys and two columns; three tuples an element would hold 23 MB
+        assert size < 10 * 2**20
 
     def test_sorted_members_order(self):
         rng = random.Random(137)
@@ -431,6 +489,15 @@ class TestSpannedGraph:
             for v in others:
                 assert (v in s) == (v in members)
 
+    def test_forms_that_do_not_pack_span_their_own_graph(self):
+        ball(8)
+        far = [NormalForm((300,), ()), NormalForm((0,) * 255, ()), nf("x1")]
+        for members in (far[::2], far[1:]):
+            s = ElementSet.of(members)
+            assert not isinstance(s._graph, folner._CayleyBall)
+            assert set(s) == set(members) and all(v in s for v in members)
+            assert subgraph_density(s).oriented_edge_count == oracle_edge_count(s)
+
     def test_outputs_match_oracles(self):
         for s in off_ball_sets():
             members = s.members
@@ -499,13 +566,12 @@ class TestProductCounts:
         steps = []
 
         def counting(step):
-            def counted(pos, neg, i):
+            def counted(key):
                 steps.append(1)
-                return step(pos, neg, i)
+                return step(key)
             return counted
 
-        monkeypatch.setattr(folner, "GENERATOR_STEPS",
-                            tuple((counting(step), i) for step, i in GENERATOR_STEPS))
+        monkeypatch.setattr(folner, "GENERATOR_STEPS", tuple(map(counting, GENERATOR_STEPS)))
         _ball_members.cache_clear()
         ball(8)
         # one letter step per edge from sphere r to sphere r + 1, r < 8, and

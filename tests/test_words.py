@@ -17,6 +17,7 @@ from thompsonf.words import (
     GENERATORS,
     IDENTITY,
     Letter,
+    PACKED_MAX,
     NormalForm,
     ParseError,
     Word,
@@ -26,10 +27,12 @@ from thompsonf.words import (
     from_standard_word,
     nf_invert,
     nf_multiply,
+    pack,
     parse_word,
     reduce_to_normal_form,
     reduce_word_by_rewriting,
     to_standard_word,
+    unpack,
 )
 
 
@@ -486,12 +489,13 @@ class TestLetterSteps:
 
     @staticmethod
     def assert_generator_steps_agree(v):
-        pos, neg = v
-        for (step, i), g in zip(GENERATOR_STEPS, GENERATORS):
+        key = pack(v)
+        for step, g in zip(GENERATOR_STEPS, GENERATORS):
             # the public constructor checks that the step's result is normal
-            w = NormalForm(*step(pos, neg, i))
+            w = NormalForm(*unpack(step(key)))
             assert w == nf_multiply(v, g), (v, g)
             assert w == reduce_word_by_rewriting(Word(v.word().letters + g.word().letters))
+            assert step(key) == pack(w)
 
     def test_generator_steps_on_ball_six(self):
         for v in ball(6):
@@ -503,3 +507,33 @@ class TestLetterSteps:
     def test_generator_steps_on_drawn_forms(self, tokens):
         word = " ".join(f"x{i}^{e}" for i, e in tokens)
         self.assert_generator_steps_agree(reduce_to_normal_form(parse_word(word)))
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, PACKED_MAX - 1), st.sampled_from((1, -1))),
+                    max_size=12))
+    def test_generator_steps_on_forms_with_large_indices(self, letters):
+        # the steps read keys whose bytes are all below PACKED_MAX
+        v = reduce_to_normal_form(Word(tuple(Letter(i, sign) for i, sign in letters)))
+        if max(v.pos + v.neg, default=0) < PACKED_MAX and len(v.pos) < PACKED_MAX:
+            self.assert_generator_steps_agree(v)
+
+
+class TestPackedKeys:
+    def test_unpack_inverts_pack_on_ball_eight(self):
+        for v in ball(8):
+            key = pack(v)
+            assert key == bytes((len(v.pos),)) + bytes(v.pos) + bytes(v.neg)
+            assert unpack(key) == v and type(unpack(key)) is NormalForm
+
+    @pytest.mark.parametrize("v", [
+        NormalForm((PACKED_MAX + 1,), ()),
+        NormalForm((), (300,)),
+        NormalForm((1, 300), (2,)),
+        NormalForm((0,) * (PACKED_MAX + 1), ()),
+    ])
+    def test_forms_past_a_byte_do_not_pack(self, v):
+        assert pack(v) is None
+
+    def test_forms_at_the_bound_pack(self):
+        for v in (NormalForm((PACKED_MAX,), (PACKED_MAX - 1,)), NormalForm((0,) * PACKED_MAX, ())):
+            assert unpack(pack(v)) == v
