@@ -39,10 +39,14 @@ working columns, one per generator in GENERATORS order; it skips the
 edges it already knows.  The columns grow one sphere at a time: before
 a sphere is expanded each is padded with -1 by the number of unknown
 edges out of the sphere, which bounds its new elements, and trimmed
-back to the element count after.  The ball keeps the x0 and x1 columns.  A set whose elements all lie in a
-built ball is a mask over the smallest such ball.  Any other set spans
-its own graph when it is made: two products per element (by x0 and x1),
-once.
+back to the element count after.  The ball keeps the x0 and x1 columns.
+
+Every ball built is kept in one dict by radius for the life of the
+process, and none is evicted: ball sizes grow about 2.8 times a radius,
+so all the balls up to radius n hold about 1.6 times ball(n).  A set
+whose elements all lie in a built ball is a mask over the smallest such
+ball.  Any other set spans its own graph when it is made: two products
+per element (by x0 and x1), once.
 
 Why -1 means "outside the ball": the exponent sum is a homomorphism from
 F to the integers (every relation x_j x_i = x_i x_{j+1} has two letters
@@ -57,12 +61,10 @@ outside the ball.
 
 from __future__ import annotations
 
-import weakref
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, compress, starmap
 from typing import Iterable, Iterator
 
@@ -88,7 +90,7 @@ class _CayleyGraph:
     """Numbered elements and their x0 and x1 neighbour columns, in that
     order; every entry is the exact product or -1 (module docstring)."""
 
-    __slots__ = ("_elements", "_number", "columns", "_rank", "_classes", "__weakref__")
+    __slots__ = ("_elements", "_number", "columns", "_rank", "_classes")
 
     def __init__(self, elements: list[NormalForm] | None,
                  number: dict[NormalForm, int] | None, columns: tuple[array, ...]) -> None:
@@ -154,7 +156,7 @@ class _CayleyBall(_CayleyGraph):
     columns grown a sphere at a time (module docstring).  The elements are
     kept as packed keys; the normal forms are unpacked on first use."""
 
-    __slots__ = ("keys", "radius", "sphere_starts")
+    __slots__ = ("keys", "sphere_starts")
 
     def __init__(self, n: int, limit: int) -> None:
         keys = [pack(IDENTITY)]
@@ -196,7 +198,6 @@ class _CayleyBall(_CayleyGraph):
             starts.append(len(keys))
         super().__init__(None, None, columns[::2])
         self.keys = keys
-        self.radius = n
         self.sphere_starts = starts
 
     @property
@@ -209,35 +210,25 @@ class _CayleyBall(_CayleyGraph):
         return map(key_halves, self.keys)
 
 
-# every completed ball still referenced, by the cache or by a set
-_BUILT: "weakref.WeakSet[_CayleyBall]" = weakref.WeakSet()
-
-
-@lru_cache(maxsize=8)
-def _ball_members(n: int, limit: int) -> _CayleyBall:
-    graph = _CayleyBall(n, limit)
-    _BUILT.add(graph)
-    return graph
+# every ball built in this process, by radius (module docstring)
+_BALLS: dict[int, _CayleyBall] = {}
 
 
 def _ball_mask(items: list[NormalForm]) -> tuple[_CayleyBall, bytes] | None:
     """The smallest built ball that holds every item, with the items' mask
     over it; None when no built ball holds them all."""
-    largest = max(_BUILT, key=lambda b: b.radius, default=None)
-    if largest is None:
-        return None
-    number = largest.number
-    mask = bytearray(len(largest) + 1)
-    for v in items:
-        u = number.get(v)
-        if u is None:
-            return None
-        mask[u] = 1
-    # numberings are prefixes of one another, so any ball that is longer
-    # than the highest number holds the set
-    top = mask.rfind(1)
-    graph = min((b for b in _BUILT if len(b) > top), key=lambda b: b.radius)
-    return graph, bytes(mask[: len(graph)]) + b"\0"
+    for n in sorted(_BALLS):
+        graph = _BALLS[n]
+        number = graph.number
+        mask = bytearray(len(graph) + 1)
+        for v in items:
+            u = number.get(v)
+            if u is None:
+                break
+            mask[u] = 1
+        else:
+            return graph, bytes(mask)
+    return None
 
 
 class ElementSet:
@@ -245,8 +236,9 @@ class ElementSet:
 
     Every set is a byte mask over an interned graph's numbering, with one
     extra 0 byte at the end, which a -1 column entry reads.  A set made
-    from elements lies on the smallest built ball that holds it, or else
-    on the graph it spans, built when the set is made; `&` and `-` keep
+    from elements lies on the smallest ball built in the process (balls
+    are kept by radius, never evicted) that holds it, or else on the
+    graph it spans, built when the set is made; `&` and `-` keep
     the left operand's graph.  `members` is the frozenset of the
     elements, derived on request.
     """
@@ -360,7 +352,10 @@ def ball(n: int, limit: int = DEFAULT_ELEMENT_LIMIT) -> ElementSet:
         raise ValueError("radius must be non-negative")
     if limit < 1:
         raise ValueError(f"element limit must be at least 1, got {limit}")
-    graph = _ball_members(n, limit)
+    graph = _BALLS.get(n)
+    if graph is None or len(graph) > limit:
+        # over the limit, the BFS raises before anything is stored
+        graph = _BALLS[n] = _CayleyBall(n, limit)
     return ElementSet._view(graph, b"\1" * len(graph) + b"\0")
 
 

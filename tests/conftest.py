@@ -1,7 +1,19 @@
 import itertools
 import random
 
+import pytest
+
+from thompsonf import folner
 from thompsonf.words import Letter, NormalForm, Word, reduce_to_normal_form
+
+
+@pytest.fixture
+def no_built_balls():
+    """Empty the process's ball store before and after the test, so that it
+    builds, times and counts every ball it asks for."""
+    folner._BALLS.clear()
+    yield
+    folner._BALLS.clear()
 
 
 def random_word(rng: random.Random, max_len=30, max_index=8) -> Word:

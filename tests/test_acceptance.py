@@ -36,7 +36,6 @@ from thompsonf.folner import (
     subgraph_density,
 )
 from thompsonf import cli
-from thompsonf.folner import _ball_members
 from thompsonf.words import (
     IDENTITY,
     Letter,
@@ -301,8 +300,8 @@ def test_criterion_10_confluence():
     )
 
 
-def test_criterion_11_ball_ten_performance(tmp_path, capsys):
-    _ball_members.cache_clear()  # time the real computation, not a cache hit
+def test_criterion_11_ball_ten_performance(tmp_path, capsys, no_built_balls):
+    # the fixture empties the ball store: time the BFS, not a stored ball
     path = tmp_path / "ball10.csv"
     t0 = time.perf_counter()
     code = cli.run(["ball", "10", "--csv", str(path)])

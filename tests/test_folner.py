@@ -29,7 +29,6 @@ from thompsonf.folner import (
     subgraph_density,
     subgraph_dot,
     translate_set,
-    _ball_members,
 )
 from thompsonf.words import (
     GENERATOR_STEPS,
@@ -89,25 +88,30 @@ class TestBall:
             ball(6, limit=1380)
         assert str(info.value) == "element limit 1380 exceeded at radius 6 (radius 5 completed)"
 
-    @pytest.mark.parametrize("limit, radius", [(1, 1), (5, 2), (100, 4)])
-    def test_limit_message_names_the_radius(self, limit, radius):
+    @pytest.mark.parametrize("n, limit, radius, warm", [
+        (6, 1, 1, False), (6, 5, 2, False), (6, 100, 4, False),
+        # a built ball(8) does not serve a limit below its size
+        (8, 11236, 8, True),
+    ], ids=["1-1", "5-2", "100-4", "warm-11236-8"])
+    def test_limit_message_names_the_radius(self, n, limit, radius, warm):
+        if warm:
+            ball(n)
+        built = dict(folner._BALLS)
         with pytest.raises(ResourceLimitError) as info:
-            ball(6, limit=limit)
+            ball(n, limit=limit)
         assert str(info.value) == (
             f"element limit {limit} exceeded at radius {radius} "
             f"(radius {radius - 1} completed)"
         )
+        assert folner._BALLS == built
 
-    def test_failed_build_leaves_no_partial_ball(self):
-        _ball_members.cache_clear()
-        built = list(folner._BUILT)
+    def test_failed_build_leaves_no_partial_ball(self, no_built_balls):
         with pytest.raises(ResourceLimitError):
             ball(8, limit=5000)
-        assert set(folner._BUILT) <= set(built)
+        assert folner._BALLS == {}
         assert len(ball(8)) == 11237
 
-    def test_radius_guard(self, monkeypatch):
-        _ball_members.cache_clear()
+    def test_radius_guard(self, monkeypatch, no_built_balls):
         monkeypatch.setattr(folner, "_MAX_RADIUS", 3)
         assert len(ball(3)) == 53
         with pytest.raises(ResourceLimitError) as info:
@@ -119,7 +123,6 @@ class TestBall:
         # the element limit still speaks first when it is reached first
         with pytest.raises(ResourceLimitError, match="element limit 10 exceeded at radius 2"):
             ball(5, limit=10)
-        _ball_members.cache_clear()
 
     def test_sphere_sizes(self):
         graph = folner._CayleyBall(11, DEFAULT_ELEMENT_LIMIT)
@@ -309,7 +312,7 @@ class TestCayleyBall:
         assert all(len(c) == len(elements) for c in graph.columns)
 
     def test_columns_match_nf_multiply(self):
-        graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
+        graph = ball(8)._graph
         starts = graph.sphere_starts
         radius = [r for r in range(len(starts) - 1) for _ in range(starts[r], starts[r + 1])]
         assert len(radius) == len(graph.elements) == 11237
@@ -327,7 +330,7 @@ class TestCayleyBall:
             assert all(len(c) == len(graph.elements) for c in graph.columns)
 
     def test_flags_match_class_of(self):
-        graph = _ball_members(8, DEFAULT_ELEMENT_LIMIT)
+        graph = ball(8)._graph
         classes = graph.classes()
         for u, v in enumerate(graph.elements):
             assert classes[u] == right_divisors(v).label().value
@@ -336,7 +339,7 @@ class TestCayleyBall:
             expected[class_of(v)] += 1
         assert class_histogram(ball(8)) == expected
 
-    def test_classes_are_derived_once_per_graph(self, monkeypatch):
+    def test_classes_are_derived_once_per_graph(self, monkeypatch, no_built_balls):
         calls = []
         flags = classify._divisor_flags
 
@@ -345,7 +348,6 @@ class TestCayleyBall:
             return flags(v)
 
         monkeypatch.setattr(classify, "_divisor_flags", counting)
-        _ball_members.cache_clear()
         s = ball(8)
         # the first histogram classifies the whole graph, however small the set
         small = s & ElementSet.of([nf("x0^8"), nf("x1")])
@@ -363,8 +365,7 @@ class TestCayleyBall:
         assert len(classes) == len(graph.elements) == 31589
         assert list(classes) == [class_of(v).value for v in graph.elements]
 
-    def test_census_path_builds_no_normal_form(self):
-        _ball_members.cache_clear()
+    def test_census_path_builds_no_normal_form(self, no_built_balls):
         s = ball(10)
         assert subgraph_density(s).oriented_edge_count == 186256
         assert class_histogram(s)[ClassLabel.M6] == 16257
@@ -375,7 +376,13 @@ class TestCayleyBall:
         text = elements_csv(small)
         assert small._graph._elements is None
         assert text.splitlines()[1:] == sorted(map(str, small))
-        _ball_members.cache_clear()
+
+    def test_small_set_lies_on_the_smallest_ball(self, no_built_balls):
+        small, large = ball(6), ball(10)
+        s = ElementSet.of(random.Random(151).sample(list(small), 700))
+        assert s._graph is small._graph
+        # the larger ball's normal forms are never unpacked
+        assert large._graph._number is None and large._graph._elements is None
 
     def test_packed_ball_memory(self):
         tracemalloc.start()
@@ -411,7 +418,7 @@ class TestCayleyBall:
         outside = ElementSet.of([nf("x0^40")]) | ball(3)
         # a mask over the graph the set spans, not over any ball
         assert not isinstance(outside._graph, folner._CayleyBall)
-        assert all(outside._graph is not b for b in folner._BUILT)
+        assert all(outside._graph is not b for b in folner._BALLS.values())
         sets = [outside, ball(3) | ElementSet.of([nf("x0^9")])]
         sets += [translate_set(ball(3), random_normal_form(rng, max_len=12)) for _ in range(5)]
         for s in sets:
@@ -562,7 +569,8 @@ class TestProductCounts:
         monkeypatch.setattr(classify, "nf_multiply", folner.nf_multiply)
         return counter
 
-    def test_bfs_skips_known_edges(self, counter, monkeypatch):
+    @pytest.fixture
+    def letter_steps(self, monkeypatch):
         steps = []
 
         def counting(step):
@@ -572,15 +580,23 @@ class TestProductCounts:
             return counted
 
         monkeypatch.setattr(folner, "GENERATOR_STEPS", tuple(map(counting, GENERATOR_STEPS)))
-        _ball_members.cache_clear()
+        return steps
+
+    def test_bfs_skips_known_edges(self, counter, letter_steps, no_built_balls):
         ball(8)
         # one letter step per edge from sphere r to sphere r + 1, r < 8, and
         # no product through nf_multiply
-        assert len(steps) == 11720
+        assert len(letter_steps) == 11720
         assert counter == []
 
-    def test_density_and_deletion_check_make_no_products(self, counter):
-        _ball_members.cache_clear()
+    def test_built_ball_serves_every_limit_it_fits(self, letter_steps, no_built_balls):
+        graph = ball(8)._graph
+        letter_steps.clear()
+        assert ball(8, limit=20000)._graph is graph
+        assert ball(8, limit=11237)._graph is graph
+        assert letter_steps == []
+
+    def test_density_and_deletion_check_make_no_products(self, counter, no_built_balls):
         ball(6)
         ball(8)
         counter.clear()
@@ -601,8 +617,7 @@ class TestProductCounts:
         subgraph_density(s)
         assert counter == []
 
-    def test_classes_make_no_products(self, counter_everywhere):
-        _ball_members.cache_clear()
+    def test_classes_make_no_products(self, counter_everywhere, no_built_balls):
         ball(8)
         counter_everywhere.clear()
         assert sum(class_histogram(ball(8)).values()) == len(ball(8))
