@@ -1,9 +1,9 @@
 """Thompson's group F: exact arithmetic in two independent representations.
 
 Elements live either as normal forms over the infinite generating set
-(`words`) or as canonical forest-pair diagrams (`diagrams`); the two
-models multiply independently and are tested against each other.  On top
-sit the right-divisor classification into M1..M7 (`classify`) and a
+(`words`) or as canonical forest-pair diagrams (`thompsonf.diagrams`, the
+test oracle, imported on its own and not re-exported here).  On top sit
+the right-divisor classification into M1..M7 (`classify`) and a
 Cayley-graph toolkit with exact rational densities (`folner`).
 """
 
@@ -23,25 +23,6 @@ from .words import (
     reduce_to_normal_form,
     reduce_word_by_rewriting,
     to_standard_word,
-)
-from .diagrams import (
-    LEAF,
-    CanonicalDiagram,
-    Diagram,
-    atomic,
-    canonicalize,
-    cells,
-    concat_product,
-    diagram_sum,
-    diagram_to_dot,
-    diagram_to_nf,
-    epsilon,
-    format_diagram,
-    mirror,
-    nf_to_diagram,
-    parse_diagram,
-    reduce_dipoles,
-    right_divisible,
 )
 from .classify import (
     ClassLabel,

@@ -20,7 +20,7 @@ import argparse
 import random
 import sys
 
-from . import diagrams, folner
+from . import folner
 from .classify import ClassLabel, check_closures, check_partition, class_of
 from .words import ParseError, parse_word, reduce_to_normal_form
 
@@ -103,6 +103,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_diagram(args) -> int:
+    from . import diagrams  # the oracle model; only this verb loads it
+
     d = diagrams.nf_to_diagram(reduce_to_normal_form(parse_word(args.word)))
     if args.dot:
         _write(args.dot, diagrams.diagram_to_dot(d))

@@ -301,21 +301,29 @@ class ElementSet:
     def __repr__(self) -> str:
         return f"ElementSet(members={self.members!r})"
 
-    def __le__(self, other: "ElementSet") -> bool:
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         a, b = self._operands(other)
         return (a | b) == b
 
-    def __and__(self, other: "ElementSet") -> "ElementSet":
+    def __and__(self, other: object) -> "ElementSet":
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         a, b = self._operands(other)
         return self._result(a & b)
 
-    def __or__(self, other: "ElementSet") -> "ElementSet":
+    def __or__(self, other: object) -> "ElementSet":
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         if other._graph is not self._graph:
             return ElementSet(chain(self, other))
         a, b = self._operands(other)
         return self._result(a | b)
 
-    def __sub__(self, other: "ElementSet") -> "ElementSet":
+    def __sub__(self, other: object) -> "ElementSet":
+        if not isinstance(other, ElementSet):
+            return NotImplemented
         a, b = self._operands(other)
         return self._result(a ^ (a & b))
 

@@ -306,6 +306,33 @@ def test_module_entry_point():
     assert proc.stdout == "x0 x2\n"
 
 
+_LEAF_CHILD = """
+import contextlib, io, sys
+import thompsonf
+from thompsonf import cli
+verbs = ["reduce x0", "classify x0", "ball 2", "density 2 --drop M1", "histogram 2",
+         "check partition --radius 2", "check closures --radius 2",
+         "check lemma-del --radius 2 --samples 50"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(verb.split()) for verb in verbs]
+print(codes, "thompsonf.diagrams" in sys.modules)
+cli.run(["diagram", "x0"])
+print("thompsonf.diagrams" in sys.modules)
+"""
+
+
+def test_only_the_diagram_verb_loads_the_diagram_model():
+    # a fresh child, with the environment test_module_entry_point builds
+    src = os.path.dirname(os.path.dirname(thompsonf.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAF_CHILD], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 1] False\n(..)|..\nTrue\n"
+
+
 # words for the exit-code contract: runs of small or near-cap indices,
 # long enough to build deep forests, and at most one bad token among them
 _runs = st.builds(

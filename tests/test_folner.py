@@ -1,4 +1,5 @@
 import hashlib
+import operator
 import random
 import tracemalloc
 from array import array
@@ -246,6 +247,14 @@ class TestSetOperations:
             meet = meet & translate_set(s, g)
         assert meet <= s
         assert nf("e") in meet
+
+    @pytest.mark.parametrize("other", [{nf("e")}, [nf("e")], 5, None],
+                             ids=["set", "list", "int", "None"])
+    @pytest.mark.parametrize("op", [operator.le, operator.and_, operator.or_, operator.sub])
+    def test_operand_that_is_not_an_element_set(self, op, other):
+        # NotImplemented from each operator, so Python raises its TypeError
+        with pytest.raises(TypeError):
+            op(ball(1), other)
 
 
 def oracle_edge_count(s):
