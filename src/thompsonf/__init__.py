@@ -34,7 +34,6 @@ from .classify import (
 )
 from .folner import (
     DEFAULT_ELEMENT_LIMIT,
-    DeletionBoundReport,
     ElementSet,
     ResourceLimitError,
     SubgraphStats,

@@ -41,12 +41,11 @@ by the generators moves the classes the way it should.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable
 
-from .words import GENERATORS, InvariantViolation, NormalForm, _landing, nf_multiply
+from .words import GENERATORS, InvariantViolation, NormalForm, _landing, _Value, nf_multiply
 
 
 class ClassLabel(enum.Enum):
@@ -76,18 +75,21 @@ _LEGAL_DIVISOR_SETS: dict[tuple[bool, bool, bool, bool], ClassLabel] = {
 _DIVISOR_NAMES = ("X0", "X0^-1", "X1", "X1^-1")
 
 
-@dataclass(frozen=True)
-class DivisorSet:
+class DivisorSet(_Value):
     """Membership flags of X0, X0^-1, X1, X1^-1 among the right divisors.
 
     Only the seven admissible combinations are constructible; anything
     else raises InvariantViolation, since it can never legitimately occur.
     """
 
-    x0: bool
-    x0_inv: bool
-    x1: bool
-    x1_inv: bool
+    __slots__ = ("x0", "x0_inv", "x1", "x1_inv")
+
+    def __init__(self, x0: bool, x0_inv: bool, x1: bool, x1_inv: bool) -> None:
+        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0_inv", x0_inv)
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x1_inv", x1_inv)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.flags() not in _LEGAL_DIVISOR_SETS:

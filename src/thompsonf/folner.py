@@ -63,13 +63,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, starmap
 from typing import Iterable, Iterator
 
 from .classify import ClassLabel, class_values
-from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, NormalForm,
+from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, NormalForm, _Value,
                     format_halves, key_halves, nf_multiply, pack, unpack)
 
 DEFAULT_ELEMENT_LIMIT = 1_000_000
@@ -335,13 +334,16 @@ class ElementSet:
         return [elements[u] for u in sorted(numbers, key=rank.__getitem__)]
 
 
-@dataclass(frozen=True)
-class SubgraphStats:
+class SubgraphStats(_Value):
     """Vertex count, oriented edge count, and their exact quotient."""
 
-    vertex_count: int
-    oriented_edge_count: int
-    density: Fraction
+    __slots__ = ("vertex_count", "oriented_edge_count", "density")
+
+    def __init__(self, vertex_count: int, oriented_edge_count: int, density: Fraction) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "oriented_edge_count", oriented_edge_count)
+        object.__setattr__(self, "density", density)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
@@ -407,20 +409,11 @@ def translate_set(s: ElementSet, g: NormalForm) -> ElementSet:
     return ElementSet.of(nf_multiply(v, g) for v in s)
 
 
-@dataclass(frozen=True)
-class DeletionBoundReport:
-    """Densities before and after deleting K, the advertised bound
-    density(S) - 4*|K|/|S| and the corrected bound density(S) - 8*|K|/|S|.
-
-    A deleted vertex costs up to 8 oriented edges (its own 4 and up to 4
-    into it), so only the corrected bound holds for every input."""
-
-    density_before: Fraction
-    density_after: Fraction
-    bound: Fraction
-    holds: bool
-    corrected_bound: Fraction
-    corrected_holds: bool
+def __getattr__(name: str):
+    if name == "DeletionBoundReport":  # a dataclass, so loaded on first use
+        from .deletion_report import DeletionBoundReport
+        return DeletionBoundReport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def deletion_bound_check(s: ElementSet, k: ElementSet) -> DeletionBoundReport:
@@ -428,6 +421,7 @@ def deletion_bound_check(s: ElementSet, k: ElementSet) -> DeletionBoundReport:
     both bounds.  `holds` can be false (deleting the identity from ball(1)
     is the smallest case); a false `corrected_holds` would disprove the
     corrected bound."""
+    from .deletion_report import DeletionBoundReport
     if not k <= s:
         raise ValueError("deleted vertices must form a subset of the graph")
     if len(k) == len(s):

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -57,11 +56,45 @@ class Letter(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class Word:
+class _Value:
+    """Base of the small read-only value types: equality, hash and repr run
+    over the `__slots__` fields, as a frozen dataclass's do."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._fields())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        # so each __init__ sets its fields through object.__setattr__
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Word(_Value):
     """A finite sequence of letters; the empty word is the identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.letters) is not tuple:
@@ -179,7 +212,8 @@ def _trusted(pos: tuple, neg: tuple) -> NormalForm:
 
 IDENTITY = NormalForm()
 
-_TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?)(\d+))?\Z")
+# [0-9], not \d: \d matches every script's digits, and int() reads them all
+_TOKEN_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?\Z")
 
 # Longest word parse_word expands.  Reduction is still quadratic in the
 # worst case, though in C: each letter may move the count vectors' tail

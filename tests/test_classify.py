@@ -53,6 +53,24 @@ class TestDivisorSet:
     def test_member_names(self):
         assert DivisorSet(False, True, True, False).members() == ("X0^-1", "X1")
 
+    def test_value_semantics(self):
+        a, b = DivisorSet(False, True, False, True), right_divisors(nf("x2^-1 x0^-1"))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != DivisorSet(False, True, True, False)
+        for other in (a.flags(), ClassLabel.M6, "M6", None):
+            assert a != other and not a == other
+        assert repr(DivisorSet(False, True, False, False)) == (
+            "DivisorSet(x0=False, x0_inv=True, x1=False, x1_inv=False)"
+        )
+
+    def test_fields_are_read_only(self):
+        d = DivisorSet(False, False, False, False)
+        with pytest.raises(AttributeError):
+            d.x0 = True
+        with pytest.raises(AttributeError):
+            del d.x1_inv
+        assert d.label() is ClassLabel.M1
+
 
 class TestRightDivisible:
     def test_x0_divides_its_own_diagram(self):

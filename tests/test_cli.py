@@ -221,9 +221,11 @@ class TestErrors:
     def test_leading_zeros_are_not_digits_over_the_cap(self, capsys):
         padded = "x" + "0" * 5000 + "1^-" + "0" * 5000 + "3"
         assert invoke(capsys, "reduce", padded) == (0, "x1^-3\n", "")
-        # int() reads any decimal digits, zeros of other scripts included
-        assert invoke(capsys, "reduce", "x\u0663 x0^-\u0660\u0660\u0660\u0660\u06601") == (
-            0, "x3 x0^-1\n", "")
+        # int() reads any decimal digits, but the grammar takes only ASCII ones
+        for word in ("x\u0663 x0^-1", "x0 x0^-\u0660\u0660\u0660\u0660\u06601"):
+            code, out, err = invoke(capsys, "reduce", word)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: malformed token") and err.count("\n") == 1
 
     def test_generator_index_at_cap(self, capsys):
         assert invoke(capsys, "reduce", "x10000") == (0, "x10000\n", "")
@@ -309,13 +311,19 @@ def test_module_entry_point():
 _LEAF_CHILD = """
 import contextlib, io, sys
 import thompsonf
-from thompsonf import cli
+from thompsonf import cli, folner
 verbs = ["reduce x0", "classify x0", "ball 2", "density 2 --drop M1", "histogram 2",
-         "check partition --radius 2", "check closures --radius 2",
-         "check lemma-del --radius 2 --samples 50"]
+         "check partition --radius 2", "check closures --radius 2"]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.run(verb.split()) for verb in verbs]
-print(codes, "thompsonf.diagrams" in sys.modules)
+print(codes, [m in sys.modules for m in ("thompsonf.diagrams", "dataclasses", "inspect")])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run("check lemma-del --radius 2 --samples 50".split())
+import dataclasses
+report = folner.deletion_bound_check(folner.ball(2), folner.ElementSet.of([thompsonf.IDENTITY]))
+report = dataclasses.replace(report, density_after=report.density_after - 9)
+print(code, type(report) is folner.DeletionBoundReport, report.density_after,
+      "thompsonf.diagrams" in sys.modules)
 cli.run(["diagram", "x0"])
 print("thompsonf.diagrams" in sys.modules)
 """
@@ -330,7 +338,9 @@ def test_only_the_diagram_verb_loads_the_diagram_model():
         [sys.executable, "-c", _LEAF_CHILD], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0, 1] False\n(..)|..\nTrue\n"
+    assert proc.stdout == (
+        "[0, 0, 0, 0, 0, 0, 0] [False, False, False]\n1 True -15/2 False\n(..)|..\nTrue\n"
+    )
 
 
 # words for the exit-code contract: runs of small or near-cap indices,
@@ -345,6 +355,8 @@ _bad_tokens = st.sampled_from([
     f"x0^{MAX_WORD_LETTERS + 1}", f"x1^-{MAX_WORD_LETTERS + 1}", "x0^0",
     "y2", "x", "x-1", "x0^", "x0^^1", "X1", "x0^+1", "x1.5", "e e",
     "x" + "9" * 5000, "x0^" + "1" * 5000,
+    # digits of other scripts: Arabic-Indic 3 and 2, fullwidth 3, Devanagari 1
+    "x\u0663", "x1^-\u0662", "x\uff13", "x2^\u0967",
 ])
 _words = st.one_of(
     st.builds(

@@ -167,6 +167,21 @@ class TestDensity:
         with pytest.raises(ValueError):
             subgraph_density(ElementSet.of([]))
 
+    def test_stats_value_semantics(self):
+        a, b = subgraph_density(ball(1)), SubgraphStats(5, 8, Fraction(8, 5))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != SubgraphStats(1, 0, Fraction(0))
+        for other in ((5, 8, Fraction(8, 5)), Fraction(8, 5), None):
+            assert a != other and not a == other
+        assert repr(a) == (
+            "SubgraphStats(vertex_count=5, oriented_edge_count=8, density=Fraction(8, 5))"
+        )
+        with pytest.raises(AttributeError):
+            a.density = Fraction(1)
+        with pytest.raises(AttributeError):
+            del a.vertex_count
+        assert a.density == Fraction(8, 5)
+
     def test_stats_invariants_enforced(self):
         with pytest.raises(ValueError):
             SubgraphStats(5, 8, Fraction(1))
@@ -683,6 +698,14 @@ class TestDeletionBound:
         assert report.bound == Fraction(8, 5) - Fraction(4, 5)
         assert report.density_after == Fraction(6, 4)
         assert report.holds
+
+    def test_report_type_is_reached_through_folner(self):
+        # folner loads the report's module, and with it dataclasses, on demand
+        from thompsonf import deletion_report
+        assert DeletionBoundReport is deletion_report.DeletionBoundReport
+        assert not hasattr(folner, "NoSuchReport")
+        with pytest.raises(ImportError):
+            from thompsonf.folner import NoSuchReport  # noqa: F401
 
     def test_plain_arithmetic(self):
         # n = 10, density 3, delete 1: the bound is 3 - 4/10

@@ -39,7 +39,8 @@ def test_normal_form_stack_stands_on_words():
     assert graph["words"] == set()
     assert graph["diagrams"] == {"words"}
     assert graph["classify"] == {"words"}
-    assert graph["folner"] == {"classify", "words"}
+    assert graph["folner"] == {"classify", "deletion_report", "words"}
+    assert graph["deletion_report"] == set()
 
 
 def test_only_the_front_ends_import_diagrams():

@@ -92,6 +92,12 @@ class TestParse:
             parse_word(text)
         assert fragment in str(info.value)
 
+    # Arabic-Indic 3 and 2, fullwidth 3, Devanagari 1: `int` reads them all
+    @pytest.mark.parametrize("text", ["x\u0663", "x1^-\u0662", "x\uff13", "x0 x2^\u0967"])
+    def test_digits_of_other_scripts_are_malformed(self, text):
+        with pytest.raises(ParseError, match="malformed token"):
+            parse_word(text)
+
     def test_format_identity(self):
         assert format_word(Word(())) == "e"
         assert str(IDENTITY) == "e"
@@ -165,6 +171,43 @@ class TestNormalFormType:
     def test_word_rejects_entries_that_are_not_int_letters(self, letter):
         with pytest.raises(TypeError, match="letters must be Letters of two ints"):
             Word((Letter(0, 1), letter))
+
+
+class TestWordValue:
+    """Word is a read-only value: equal letters give equal, equally hashed
+    words, and the repr is the one its fields spell."""
+
+    def test_equal_letters_give_equal_words_and_hashes(self):
+        a, b = parse_word("x0 x1^-1"), Word((Letter(0, 1), Letter(1, -1)))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert Word() == Word(()) == parse_word("e")
+        assert a != parse_word("x0") and a != Word()
+
+    @pytest.mark.parametrize("other", [
+        (Letter(0, 1), Letter(1, -1)), "x0 x1^-1", NormalForm((0,), (1,)), None,
+    ])
+    def test_never_equals_another_type(self, other):
+        w = parse_word("x0 x1^-1")
+        assert w != other and not w == other
+
+    def test_fields_are_read_only(self):
+        w = parse_word("x0")
+        for attempt in (lambda: setattr(w, "letters", ()), lambda: delattr(w, "letters"),
+                        lambda: setattr(w, "other", 1)):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert w.letters == (Letter(0, 1),)
+
+    def test_repr(self):
+        assert repr(parse_word("x0 x1^-1")) == (
+            "Word(letters=(Letter(index=0, sign=1), Letter(index=1, sign=-1)))"
+        )
+        assert repr(Word()) == "Word(letters=())"
+
+    def test_copy_and_pickle_round_trip(self):
+        w = parse_word("x0 x1^-2")
+        for y in [copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))]:
+            assert type(y) is Word and y == w and hash(y) == hash(w)
 
 
 class TestTupleRepresentation:
