@@ -9,6 +9,9 @@ Verbs:
     histogram <n> [--csv PATH]        class histogram of the radius-n ball
     check {partition|closures|lemma-del} --radius <n> [--samples K] [--seed S]
 
+ball, density, histogram and check also take --limit N: they build no
+ball of more than N elements (default 1,000,000) and exit 2 instead.
+
 Exit codes: 0 on success, 1 when a check found violations, 2 on any
 error (bad word, unknown flag, resource limit), with a one-line
 `error: ...` diagnostic on stderr.
@@ -38,6 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Thompson's group F: normal forms, diagrams, classes, densities.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    limit = {"type": int, "default": folner.DEFAULT_ELEMENT_LIMIT, "metavar": "N",
+             "help": "build no ball of more than N elements (default %(default)s)"}
 
     p = sub.add_parser("reduce", help="reduce a word to its normal form")
     p.add_argument("word")
@@ -52,19 +57,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ball", help="enumerate the ball of a given radius")
     p.add_argument("radius", type=int)
     p.add_argument("--csv", metavar="PATH", help="write the elements as CSV")
-    p.add_argument("--limit", type=int, default=folner.DEFAULT_ELEMENT_LIMIT)
+    p.add_argument("--limit", **limit)
 
     p = sub.add_parser("density", help="density of a ball, optionally after drops")
     p.add_argument("radius", type=int)
     p.add_argument("--drop", metavar="CLASSES", default="",
                    help="comma-separated classes to remove first, e.g. M1,M2")
     p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--limit", type=int, default=folner.DEFAULT_ELEMENT_LIMIT)
+    p.add_argument("--limit", **limit)
 
     p = sub.add_parser("histogram", help="class histogram of a ball")
     p.add_argument("radius", type=int)
     p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--limit", type=int, default=folner.DEFAULT_ELEMENT_LIMIT)
+    p.add_argument("--limit", **limit)
 
     p = sub.add_parser("check", help="run an exhaustive or randomized checker")
     p.add_argument("which", choices=("partition", "closures", "lemma-del"))
@@ -72,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000,
                    help="random instances for lemma-del")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=folner.DEFAULT_ELEMENT_LIMIT)
+    p.add_argument("--limit", **limit)
 
     return parser
 

@@ -74,8 +74,8 @@ from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, NormalFor
 DEFAULT_ELEMENT_LIMIT = 1_000_000
 # Largest radius the BFS builds.  Every index and len(pos) in ball(n) is at
 # most n: a letter step moves an index by at most one, and a new index is
-# at most one more than the letter count.  So the steps from sphere n-1
-# read keys below PACKED_MAX, as they need, and the class rules on sphere
+# at most one more than the letter count.  So every product the steps
+# from sphere n-1 take packs, as they need, and the class rules on sphere
 # n probe indices up to n + 2, which must still be a byte.
 _MAX_RADIUS = PACKED_MAX - 1
 
@@ -144,6 +144,9 @@ class _CayleyGraph:
 def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
     """The graph `items` span (two products per element) and its full mask."""
     elements = list(dict.fromkeys(items))
+    for v in elements:
+        if not isinstance(v, NormalForm):
+            raise TypeError(f"elements must be NormalForms, got {type(v).__name__}")
     number = {v: u for u, v in enumerate(elements)}
     columns = tuple(array("i", [number.get(nf_multiply(v, g), -1) for v in elements])
                     for g in GENERATORS[::2])
@@ -358,6 +361,9 @@ def ball(n: int, limit: int = DEFAULT_ELEMENT_LIMIT) -> ElementSet:
     """All elements of word length at most n in {x0^+-1, x1^+-1}, by
     breadth-first search from the identity.  Deterministic content;
     raises ResourceLimitError when the set would exceed `limit`."""
+    for name, value in (("radius", n), ("limit", limit)):
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if n < 0:
         raise ValueError("radius must be non-negative")
     if limit < 1:

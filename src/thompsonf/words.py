@@ -360,16 +360,20 @@ GENERATORS: tuple[NormalForm, ...] = (
 # A packed key is one bytes object, bytes((len(pos),)) + bytes(pos) +
 # bytes(neg): the BFS stores balls as keys, one small hashable object per
 # element instead of three tuples.  A form packs when len(pos) and every
-# index are at most PACKED_MAX.  The steps below are `_times_positive` and
-# `_times_negative` for the right factors x0^{+-1} and x1^{+-1} (proofs
-# there), read on keys: an index shift is one `translate` of a slice.  They
-# never saturate a byte as long as their input's bytes stay below
-# PACKED_MAX, which the BFS radius bound (`folner`) guarantees.
+# index are at most PACKED_MAX.  `_key_steps` reads `_times_positive` and
+# `_times_negative` (proofs there) on keys: an index shift is one
+# `translate` of the key from the first pos byte above the landing point
+# t on, and the neg bytes the landing passed lie below t, so the table for
+# t keeps them.  A step returns the key of its product whenever that
+# product packs, as every product the BFS takes does (the radius bound in
+# `folner`).
 
 PACKED_MAX = 254
-_INC = bytes(range(1, 256)) + b"\xff"  # translate tables: raise an index by one
-_DEC = b"\0" + bytes(range(255))  # and lower it by one
 _BYTE = [bytes((i,)) for i in range(256)]  # one-byte keys parts, built once
+_IDENTITY_TABLE = bytes(range(256))
+# translate tables: _RAISE[t] raises each byte >= t by one, _LOWER[t] lowers each > t
+_RAISE = [_IDENTITY_TABLE[:t] + _IDENTITY_TABLE[t + 1 :] + b"\xff" for t in range(256)]
+_LOWER = [_IDENTITY_TABLE[: t + 1] + _IDENTITY_TABLE[t:255] for t in range(256)]
 
 
 def pack(v: NormalForm) -> bytes | None:
@@ -391,66 +395,42 @@ def unpack(key: bytes) -> NormalForm:
     return _trusted(*map(tuple, key_halves(key)))
 
 
-def _key_times_x0(b: bytes) -> bytes:
-    """x0 cancels against a leading 0 of neg, or else enters pos after its
-    zeros, raising the rest of pos and all of neg."""
-    p = b[0]
-    if b[p + 1 : p + 2] == b"\0":
-        return b[: p + 1] + b[p + 2 :]
-    at = 1 + b.count(0, 1, p + 1)
-    return _BYTE[p + 1] + bytes(at) + b[at:].translate(_INC)
+def _key_steps(g: int) -> tuple:
+    """The packed steps for the right factors x_g and x_g^-1.  Both walk
+    `at` over the neg bytes b[n0:] to neg[k], and t = g + k.  x_t cancels
+    against neg[k] == t, or else enters pos after its indices up to t.
+    x_t^-1 takes the shift rule when pos holds t and neither half t+1, or
+    else enters neg at k."""
 
+    def times_positive(b: bytes) -> bytes:
+        at = n0 = b[0] + 1
+        end, t = len(b), g
+        while at < end and b[at] < t:
+            at += 1
+            t += 1
+        if at < end and b[at] == t:
+            return b[:at] + b[at + 1 :]
+        q = bisect_right(b, t, 1, n0)
+        return _BYTE[n0] + b[1:q] + _BYTE[t] + b[q:].translate(_RAISE[t])
 
-def _key_times_x0_inv(b: bytes) -> bytes:
-    """x0^-1 takes the shift rule when pos starts with 0 and no index is 1
-    (then neg holds no 0 either, and every index left moves down), or
-    else enters neg first."""
-    p = b[0]
-    if p and b[1] == 0 and b.find(1, 2) < 0:
-        at = 1 + b.count(0, 1, p + 1)
-        return _BYTE[p - 1] + bytes(at - 2) + b[at:].translate(_DEC)
-    return b[: p + 1] + b"\0" + b[p + 1 :]
+    def times_negative(b: bytes) -> bytes:
+        at = n0 = b[0] + 1
+        end, t = len(b), g
+        while at < end and b[at] < t:
+            at += 1
+            t += 1
+        q = bisect_right(b, t, 1, n0)
+        if b[q - 1] == t and q > 1 and b.find(t + 1, 1) < 0:
+            return _BYTE[n0 - 2] + b[1 : q - 1] + b[q:].translate(_LOWER[t])
+        return b[:at] + _BYTE[t] + b[at:]
 
-
-# The x1 steps walk `_landing(neg, 1)` over the neg bytes b[n0:] inline:
-# `at` is the position of neg[k] in b, and g = g' = 1 + k.
-
-
-def _key_times_x1(b: bytes) -> bytes:
-    """x1 cancels against neg[k] == g', or else enters pos after its
-    indices up to g', raising the rest of pos and neg[k:]."""
-    at = n0 = b[0] + 1
-    end = len(b)
-    while at < end and b[at] <= at - n0:
-        at += 1
-    g = 1 + at - n0
-    if at < end and b[at] == g:
-        return b[:at] + b[at + 1 :]
-    q = bisect_right(b, g, 1, n0)
-    return b"".join((_BYTE[n0], b[1:q], _BYTE[g], b[q:n0].translate(_INC), b[n0:at],
-                     b[at:].translate(_INC)))
-
-
-def _key_times_x1_inv(b: bytes) -> bytes:
-    """x1^-1 takes the shift rule when pos holds g' and neither half g'+1,
-    dropping the last g' of pos and lowering the rest of pos and neg[k:];
-    or else it enters neg at k."""
-    at = n0 = b[0] + 1
-    end = len(b)
-    while at < end and b[at] <= at - n0:
-        at += 1
-    g = 1 + at - n0
-    q = bisect_right(b, g, 1, n0)
-    if q > 1 and b[q - 1] == g and b[q : q + 1] != _BYTE[g + 1] and b.find(g + 1, n0) < 0:
-        return b"".join((_BYTE[n0 - 2], b[1 : q - 1], b[q:n0].translate(_DEC), b[n0:at],
-                         b[at:].translate(_DEC)))
-    return b[:at] + _BYTE[g] + b[at:]
+    return times_positive, times_negative
 
 
 # GENERATOR_STEPS[k](key) is the key of v * GENERATORS[k], for the form v
 # that `key` holds: the one letter step nf_multiply takes for that right
 # factor, on packed keys
-GENERATOR_STEPS = (_key_times_x0, _key_times_x0_inv, _key_times_x1, _key_times_x1_inv)
+GENERATOR_STEPS = (*_key_steps(0), *_key_steps(1))
 
 
 # A word folds on count vectors when its index spread is at most this many
@@ -597,24 +577,14 @@ def _adjacent_rewrite(a: Letter, b: Letter) -> tuple[Letter, ...] | None:
 def _seminormalize(letters: list[Letter], leftmost: bool) -> None:
     """Apply the adjacent rules in place until none fires, attacking the
     leftmost or the rightmost redex first."""
-    if leftmost:
-        k = 0
-        while k < len(letters) - 1:
-            replacement = _adjacent_rewrite(letters[k], letters[k + 1])
-            if replacement is None:
-                k += 1
-            else:
-                letters[k : k + 2] = replacement
-                k = max(0, k - 1)
-    else:
-        k = len(letters) - 2
-        while k >= 0:
-            replacement = _adjacent_rewrite(letters[k], letters[k + 1])
-            if replacement is None:
-                k -= 1
-            else:
-                letters[k : k + 2] = replacement
-                k = min(len(letters) - 2, k + 1)
+    k = 0 if leftmost else len(letters) - 2
+    while 0 <= k < len(letters) - 1:
+        replacement = _adjacent_rewrite(letters[k], letters[k + 1])
+        if replacement is None:
+            k += 1 if leftmost else -1
+        else:
+            letters[k : k + 2] = replacement
+            k = max(0, k - 1) if leftmost else min(len(letters) - 2, k + 1)
 
 
 def _find_shift_redex(letters: list[Letter], leftmost: bool):

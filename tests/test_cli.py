@@ -123,6 +123,15 @@ class TestBallDensityHistogram:
         assert out == expected
         assert path.read_text() == expected
 
+    @pytest.mark.parametrize("verb", ["ball", "density", "histogram", "check"])
+    def test_limit_is_documented(self, capsys, verb):
+        doc = " ".join(thompsonf.cli.__doc__.split())
+        assert "ball, density, histogram and check also take --limit N" in doc
+        with pytest.raises(SystemExit):
+            run([verb, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--limit N build no ball of more than N elements (default 1000000)" in out
+
     def test_byte_identical_reruns(self, capsys):
         first = invoke(capsys, "histogram", "2")
         second = invoke(capsys, "histogram", "2")

@@ -134,6 +134,22 @@ class TestBall:
         for r in range(12):
             assert max(map(max, graph.keys[starts[r] : starts[r + 1]])) <= r
 
+    @pytest.mark.parametrize("n, limit, message", [
+        (2.0, 100, "radius must be an int, got float"),
+        (True, 100, "radius must be an int, got bool"),
+        ("2", 100, "radius must be an int, got str"),
+        (2, 100.0, "limit must be an int, got float"),
+        (2, True, "limit must be an int, got bool"),
+    ])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_radius_and_limit_must_be_ints(self, n, limit, message, warm, no_built_balls):
+        # ball(2.0) and ball(True) once answered with a built ball(2) or ball(1)
+        if warm:
+            ball(1), ball(2)
+        with pytest.raises(TypeError) as info:
+            ball(n, limit=limit)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, limit):
         with pytest.raises(ValueError, match="at least 1"):
@@ -507,6 +523,17 @@ class TestSpannedGraph:
             assert class_histogram(s) == expected
             survivors = {v for v in s.members if class_of(v) not in dropped}
             assert drop_classes(s, dropped).members == survivors
+
+    @pytest.mark.parametrize("items, name", [
+        (["x0"], "str"),
+        ([nf("x0^40"), None], "NoneType"),
+        ([nf("x0^40"), ((40,), ())], "tuple"),
+    ])
+    def test_elements_must_be_normal_forms(self, items, name):
+        ball(2)
+        with pytest.raises(TypeError) as info:
+            ElementSet.of(items)
+        assert str(info.value) == f"elements must be NormalForms, got {name}"
 
     def test_membership(self):
         rng = random.Random(173)

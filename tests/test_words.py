@@ -21,6 +21,9 @@ from thompsonf.words import (
     NormalForm,
     ParseError,
     Word,
+    _LOWER,
+    _RAISE,
+    _key_steps,
     _times_negative,
     _times_positive,
     format_word,
@@ -543,6 +546,35 @@ class TestLetterSteps:
         for v in ball(6):
             self.assert_generator_steps_agree(v)
 
+    # x0 .. x7, and an index whose landings can carry t past a byte
+    STEP_INDICES = (*range(8), PACKED_MAX - 2)
+
+    @classmethod
+    def assert_key_steps_agree(cls, v) -> set:
+        """The steps of `_key_steps(g)` against nf_multiply and pack, for every
+        g in STEP_INDICES whose product packs; returns the (g, sign) checked."""
+        key, checked = pack(v), set()
+        for g in cls.STEP_INDICES:
+            factors = (NormalForm((g,), ()), NormalForm((), (g,)))
+            for step, x, sign in zip(_key_steps(g), factors, (1, -1)):
+                expected = pack(nf_multiply(v, x))
+                if expected is not None:  # a step answers for products that pack
+                    assert step(key) == expected, (v, g, sign)
+                    checked.add((g, sign))
+        return checked
+
+    def test_key_steps_for_every_index_on_ball_five(self):
+        checked = set()
+        for v in ball(5):
+            checked |= self.assert_key_steps_agree(v)
+        assert checked == {(g, sign) for g in self.STEP_INDICES for sign in (1, -1)}
+
+    def test_shift_tables(self):
+        assert len(_RAISE) == len(_LOWER) == 256
+        for t in range(256):
+            assert _RAISE[t] == bytes(min(i + (i >= t), 255) for i in range(256)), t
+            assert _LOWER[t] == bytes(i - (i > t) for i in range(256)), t
+
     @settings(deadline=None, max_examples=300)
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(-6, 6).filter(bool)),
                     max_size=30))
@@ -558,6 +590,7 @@ class TestLetterSteps:
         v = reduce_to_normal_form(Word(tuple(Letter(i, sign) for i, sign in letters)))
         if max(v.pos + v.neg, default=0) < PACKED_MAX and len(v.pos) < PACKED_MAX:
             self.assert_generator_steps_agree(v)
+            self.assert_key_steps_agree(v)
 
 
 class TestPackedKeys:
