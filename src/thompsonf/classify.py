@@ -35,17 +35,21 @@ diagram and is the oracle this rule is tested against.
 
 `check_partition` and `check_closures` verify, on a finite set of
 elements, that no other divisor set occurs and that right multiplication
-by the generators moves the classes the way it should.
+by the generators moves the classes the way it should.  They take any
+iterable and multiply normal forms; the check verbs run their passes over
+a graph instead (`folner.partition_violations`,
+`folner.closure_violations`), which print the same lines and are tested
+against them.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable
 
-from .words import GENERATORS, InvariantViolation, NormalForm, _landing, _Value, nf_multiply
+from .words import GENERATORS, InvariantViolation, NormalForm, _Value, nf_multiply
 
 
 class ClassLabel(enum.Enum):
@@ -115,7 +119,11 @@ def _divisor_flags(g: NormalForm) -> tuple[bool, bool, bool, bool]:
     """Flags ordered (X0, X0^-1, X1, X1^-1), by the rule in the module
     docstring; `g` may also be the (pos, neg) bytes halves of a packed key."""
     pos, neg = g
-    k = _landing(neg, 1)[1]
+    k = 1  # where x1 lands: `words._landing(neg, 1)[1]`, inlined
+    for j in neg:
+        if j >= k:
+            break
+        k += 1
     return (0 in pos and 1 not in pos and 1 not in neg,
             0 in neg[:1],
             k in pos and k + 1 not in pos and k + 1 not in neg,
@@ -145,10 +153,15 @@ class _ClassValues(dict):
 _CLASS_VALUES = _ClassValues({flags: label.value for flags, label in _LEGAL_DIVISOR_SETS.items()})
 
 
-def class_values(halves: Iterable[tuple]) -> bytes:
+def class_values(halves: Iterable[tuple], inadmissible: int | None = None) -> bytes:
     """The value of `class_of` for every (pos, neg) pair, normal forms or
-    packed-key halves alike, in one pass."""
-    return bytes(map(_CLASS_VALUES.__getitem__, map(_divisor_flags, halves)))
+    packed-key halves alike, in one pass.  A pair whose divisor set is
+    inadmissible raises, as `class_of` does, or reads `inadmissible` when
+    that is given."""
+    flags = map(_divisor_flags, halves)
+    if inadmissible is None:
+        return bytes(map(_CLASS_VALUES.__getitem__, flags))
+    return bytes(map(_CLASS_VALUES.get, flags, repeat(inadmissible)))
 
 
 # (name, applies-to classes, right factor, expected class)
@@ -177,10 +190,7 @@ def check_closures(elements: Iterable[NormalForm]) -> list[str]:
                 continue
             got = class_of(nf_multiply(g, factor))
             if got is not expected:
-                violations.append((str(g), (
-                    f"{g}: rule {rule_name} failed, element is {cls} but the "
-                    f"product landed in {got}"
-                )))
+                violations.append((str(g), _closure_line(str(g), rule_name, cls, got)))
     return [line for _, line in sorted(violations, key=itemgetter(0))]
 
 
@@ -192,6 +202,18 @@ def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     for g in elements:
         flags = _divisor_flags(g)
         if flags not in _LEGAL_DIVISOR_SETS:
-            found = ", ".join(compress(_DIVISOR_NAMES, flags))
-            violations.append((str(g), f"{g}: divisor set {{{found}}} is not admissible"))
+            violations.append((str(g), _partition_line(str(g), flags)))
     return [line for _, line in sorted(violations, key=itemgetter(0))]
+
+
+# the violation lines of both checks, shared with their passes over a graph
+# (`folner.closure_violations`, `folner.partition_violations`)
+
+
+def _closure_line(label: str, rule_name: str, cls: ClassLabel, got: ClassLabel) -> str:
+    return f"{label}: rule {rule_name} failed, element is {cls} but the product landed in {got}"
+
+
+def _partition_line(label: str, flags: tuple[bool, bool, bool, bool]) -> str:
+    found = ", ".join(compress(_DIVISOR_NAMES, flags))
+    return f"{label}: divisor set {{{found}}} is not admissible"

@@ -24,7 +24,7 @@ import random
 import sys
 
 from . import folner
-from .classify import ClassLabel, check_closures, check_partition, class_of
+from .classify import ClassLabel, class_of
 from .words import ParseError, parse_word, reduce_to_normal_form
 
 
@@ -184,9 +184,9 @@ def _cmd_check(args) -> int:
         raise ValueError(f"sample count must be non-negative, got {args.samples}")
     s = folner.ball(args.radius, limit=args.limit)
     if args.which == "partition":
-        violations = check_partition(s)
+        violations = folner.partition_violations(s)
     elif args.which == "closures":
-        violations = check_closures(s)
+        violations = folner.closure_violations(s)
     else:
         violations, corrected = _check_lemma_del(s, args.samples, args.seed)
     for line in violations:

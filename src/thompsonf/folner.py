@@ -22,7 +22,9 @@ graph both guarantee.  Sort ranks and classes (one byte per element,
 the value of its `class_of` label, read off the (pos, neg) halves of
 each element with no product) are derived once per graph, on first
 use.  Densities, histograms, deletion checks and sort orders read
-columns, class bytes and masks; none multiplies normal forms.
+columns, class bytes and masks; none multiplies normal forms.  The
+closure check reads them too, and makes only the products that no
+column holds: those that leave the graph, and those by x0^-1 and x1^-1.
 
 A ball (`_CayleyBall`) is built once, by BFS, on packed keys: each
 element is one bytes object (`words.pack`), and the BFS dedups them in a
@@ -63,20 +65,34 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from fractions import Fraction
-from itertools import chain, compress, starmap
+from itertools import chain, compress, repeat, starmap
+from operator import lt, mul
 from typing import Iterable, Iterator
 
+from . import classify
 from .classify import ClassLabel, class_values
 from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, NormalForm, _Value,
                     format_halves, key_halves, nf_multiply, pack, unpack)
 
+
+def Fraction(numerator: int, denominator: int) -> Fraction:
+    """`fractions.Fraction`, imported by the first call, which rebinds this
+    name to it: only densities, `mu_hat` and the deletion check make a
+    Fraction, and `fractions` loads `decimal` and `numbers` too, so the
+    other verbs skip all three."""
+    global Fraction
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
 DEFAULT_ELEMENT_LIMIT = 1_000_000
-# Largest radius the BFS builds.  Every index and len(pos) in ball(n) is at
-# most n: a letter step moves an index by at most one, and a new index is
-# at most one more than the letter count.  So every product the steps
-# from sphere n-1 take packs, as they need, and the class rules on sphere
-# n probe indices up to n + 2, which must still be a byte.
+# Largest radius the BFS builds.  Every index and the letter count of an
+# element of ball(n) are at most n: a letter step moves an index by at most
+# one, and a new index is at most one more than the letter count.  So the
+# product of any element by a generator packs, as the BFS steps and the
+# closure pass (which steps from sphere n too) need.  The class rule on it
+# probes no byte above 255: the landing k is at most 1 + len(neg) <= n + 2,
+# and k + 1 is probed only when k is in pos, so k <= n + 1.
 _MAX_RADIUS = PACKED_MAX - 1
 
 
@@ -113,13 +129,22 @@ class _CayleyGraph:
             self._number = {v: u for u, v in enumerate(self.elements)}
         return self._number
 
-    def halves(self) -> Iterable[tuple]:
-        """The (pos, neg) halves of every element, in number order."""
-        return self.elements
+    def halves(self, numbers: Iterable[int] | None = None) -> Iterable[tuple]:
+        """The (pos, neg) halves of every element, in number order, or of
+        the elements `numbers` names."""
+        if numbers is None:
+            return self.elements
+        return map(self.elements.__getitem__, numbers)
 
-    def labels(self) -> Iterator[str]:
-        """The formatted normal form of every element, in number order."""
-        return starmap(format_halves, self.halves())
+    def products(self, numbers: Iterable[int], k: int) -> Iterator[tuple]:
+        """The (pos, neg) halves of v * GENERATORS[k] for each element v
+        that `numbers` names."""
+        return map(nf_multiply, self.halves(numbers), repeat(GENERATORS[k]))
+
+    def labels(self, numbers: Iterable[int] | None = None) -> Iterator[str]:
+        """The formatted normal form of every element, in number order, or
+        of the elements `numbers` names."""
+        return starmap(format_halves, self.halves(numbers))
 
     def rank(self) -> array:
         """Position of every element in the order of formatted normal forms;
@@ -208,8 +233,14 @@ class _CayleyBall(_CayleyGraph):
             self._elements = list(map(unpack, self.keys))
         return self._elements
 
-    def halves(self) -> Iterator[tuple[bytes, bytes]]:
-        return map(key_halves, self.keys)
+    def halves(self, numbers: Iterable[int] | None = None) -> Iterator[tuple[bytes, bytes]]:
+        keys = self.keys if numbers is None else map(self.keys.__getitem__, numbers)
+        return map(key_halves, keys)
+
+    def products(self, numbers: Iterable[int], k: int) -> Iterator[tuple[bytes, bytes]]:
+        # one packed letter step each; every product packs (_MAX_RADIUS)
+        step = GENERATOR_STEPS[k]
+        return map(key_halves, map(step, map(self.keys.__getitem__, numbers)))
 
 
 # every ball built in this process, by radius (module docstring)
@@ -413,6 +444,57 @@ def drop_classes(s: ElementSet, classes: Iterable[ClassLabel]) -> ElementSet:
 def translate_set(s: ElementSet, g: NormalForm) -> ElementSet:
     """Right-translate: {v*g for v in s}.  A bijection, so the size is kept."""
     return ElementSet.of(nf_multiply(v, g) for v in s)
+
+
+def partition_violations(s: ElementSet) -> list[str]:
+    """The lines of `classify.check_partition` on the members of s, in its
+    order, read off the graph: the one flags pass that `classes()` makes,
+    with 0 for an inadmissible divisor set instead of an error."""
+    graph = s._graph
+    values = graph._classes or class_values(graph.halves(), 0)
+    # values[u] < mask[u] exactly for a member whose divisor set is inadmissible
+    numbers = list(compress(range(len(graph)), map(lt, values, s._mask)))
+    labels = list(graph.labels(numbers))
+    lines = map(classify._partition_line, labels,
+                map(classify._divisor_flags, graph.halves(numbers)))
+    return [line for _, line in sorted(zip(labels, lines))]
+
+
+def closure_violations(s: ElementSet) -> list[str]:
+    """The lines of `classify.check_closures` on the members of s, in its
+    order, read off the graph.  A rule's sources are the members whose
+    class byte it applies to.  For x0 and x1, the class of a source's
+    product is the class byte its column entry names; only the products
+    outside the graph, and every product by x0^-1 or x1^-1 (no column
+    holds those edges), are made by `products` (a packed letter step on a
+    ball) and classified from their halves.  A violator's label is
+    formatted only when a rule fails."""
+    graph, mask = s._graph, s._mask
+    classes = graph.classes()
+    members = bytes(map(mul, classes, mask))  # the class value of a member, else 0
+    rules = classify._CLOSURE_RULES
+    found = []  # (number, rule order, class value of the product)
+    for order, (_, sources, factor, expected) in enumerate(rules):
+        k = GENERATORS.index(factor)
+        select = bytearray(256)
+        for label in sources:
+            select[label.value] = 1
+        wrong = bytes(value != expected.value for value in range(256))
+        made = numbers = array("i", compress(range(len(graph)), members.translate(select)))
+        if not k & 1:
+            targets = array("i", map(graph.columns[k >> 1].__getitem__, numbers))
+            # a -1 entry reads the expected value; those products are made below
+            read = bytes(map((classes + bytes((expected.value,))).__getitem__, targets))
+            found += compress(zip(numbers, repeat(order), read), read.translate(wrong))
+            made = array("i", compress(numbers, map((-1).__eq__, targets)))
+        values = class_values(graph.products(made, k))
+        found += compress(zip(made, repeat(order), values), values.translate(wrong))
+    lines = [
+        (label, order, classify._closure_line(
+            label, rules[order][0], ClassLabel(classes[u]), ClassLabel(value)))
+        for (u, order, value), label in zip(found, graph.labels(u for u, _, _ in found))
+    ]
+    return [line for _, _, line in sorted(lines)]
 
 
 def __getattr__(name: str):

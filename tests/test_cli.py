@@ -178,13 +178,19 @@ class TestCheck:
         assert invoke(capsys, *args) == invoke(capsys, *args)
 
 
-# stdout digests of two commands that print exact densities: a shifted
-# Fraction in any violation line or drop row changes the digest
+# stdout digests: two commands that print exact densities, where a shifted
+# Fraction in any violation line or drop row changes the digest, and the
+# check verbs, whose passes over the ball must print what the
+# product-based oracles in `classify` print
 @pytest.mark.parametrize("argv, code, digest", [
     (("check", "lemma-del", "--radius", "3", "--samples", "300", "--seed", "0"), 1,
      "0b01bf10b748f28c32fb1373fdac2665ad9bf3d3086f069d59fa96d4d604585f"),
     (("density", "8", "--drop", "M2"), 0,
      "c8c6f27c2d7db47789c3d45da08b3d5606be15f0b56e18eefecb50ae70a95986"),
+    (("check", "closures", "--radius", "8"), 0,
+     "c030f1e1e96776259b6e672c4198131a2e891f57ae889896039049e5d29cf2b6"),
+    (("check", "partition", "--radius", "8"), 0,
+     "f83219cdea97e64709324758fcdef162c8b5bc54732dc677d209348f8cdfb0a9"),
 ])
 def test_density_outputs_are_pinned(capsys, argv, code, digest):
     result, out, err = invoke(capsys, *argv)
@@ -321,11 +327,14 @@ _LEAF_CHILD = """
 import contextlib, io, sys
 import thompsonf
 from thompsonf import cli, folner
-verbs = ["reduce x0", "classify x0", "ball 2", "density 2 --drop M1", "histogram 2",
-         "check partition --radius 2", "check closures --radius 2"]
+verbs = ["reduce x0", "classify x0", "ball 2", "histogram 2",
+         "check partition --radius 2", "check closures --radius 2", "density 2 --drop M1"]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(verb.split()) for verb in verbs]
-print(codes, [m in sys.modules for m in ("thompsonf.diagrams", "dataclasses", "inspect")])
+    codes = [cli.run(verb.split()) for verb in verbs[:-1]]
+    exact = [m in sys.modules for m in ("fractions", "decimal", "numbers")]
+    codes.append(cli.run(verbs[-1].split()))
+print(codes, exact,
+      [m in sys.modules for m in ("thompsonf.diagrams", "dataclasses", "inspect", "fractions")])
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run("check lemma-del --radius 2 --samples 50".split())
 import dataclasses
@@ -339,7 +348,8 @@ print("thompsonf.diagrams" in sys.modules)
 
 
 def test_only_the_diagram_verb_loads_the_diagram_model():
-    # a fresh child, with the environment test_module_entry_point builds
+    # a fresh child, with the environment test_module_entry_point builds;
+    # it also pins that only a verb that makes a Fraction loads `fractions`
     src = os.path.dirname(os.path.dirname(thompsonf.__file__))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -348,7 +358,8 @@ def test_only_the_diagram_verb_loads_the_diagram_model():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "[0, 0, 0, 0, 0, 0, 0] [False, False, False]\n1 True -15/2 False\n(..)|..\nTrue\n"
+        "[0, 0, 0, 0, 0, 0, 0] [False, False, False] [False, False, False, True]\n"
+        "1 True -15/2 False\n(..)|..\nTrue\n"
     )
 
 

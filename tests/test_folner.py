@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_normal_form
-from thompsonf import classify, folner
-from thompsonf.classify import ClassLabel, check_closures, class_of, right_divisors
+from thompsonf import classify, cli, folner
+from thompsonf.classify import (ClassLabel, check_closures, check_partition, class_of,
+                                class_values, right_divisors)
 from thompsonf.folner import (
     DEFAULT_ELEMENT_LIMIT,
     GENERATORS,
@@ -21,12 +22,14 @@ from thompsonf.folner import (
     SubgraphStats,
     ball,
     class_histogram,
+    closure_violations,
     deletion_bound_check,
     density_csv,
     drop_classes,
     elements_csv,
     histogram_csv,
     mu_hat,
+    partition_violations,
     subgraph_density,
     subgraph_dot,
     translate_set,
@@ -35,9 +38,12 @@ from thompsonf.words import (
     GENERATOR_STEPS,
     IDENTITY,
     NormalForm,
+    key_halves,
     nf_multiply,
+    pack,
     parse_word,
     reduce_to_normal_form,
+    unpack,
 )
 
 
@@ -717,6 +723,118 @@ class TestProductCounts:
         counter_everywhere.clear()
         assert check_closures(s) == []
         assert 0 < len(counter_everywhere) <= applicable
+
+
+class TestCheckPasses:
+    """`closure_violations` and `partition_violations`, the check verbs'
+    passes over a graph, against the product-based oracles in `classify`."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_match_the_oracles_on_balls(self, n):
+        s = ball(n)
+        assert closure_violations(s) == check_closures(s) == []
+        assert partition_violations(s) == check_partition(s) == []
+
+    @staticmethod
+    def sets():
+        """A subset of ball(6), on the ball's graph, and sets off every ball."""
+        sample = random.Random(211).sample(ball(6).sorted_members(), 400)
+        return [ElementSet.of(sample)] + off_ball_sets()
+
+    def test_match_the_oracles_on_subsets_and_spanned_sets(self):
+        sets = self.sets()
+        assert isinstance(sets[0]._graph, folner._CayleyBall)
+        assert not isinstance(sets[1]._graph, folner._CayleyBall)
+        for s in sets:
+            assert closure_violations(s) == check_closures(s) == []
+            assert partition_violations(s) == check_partition(s) == []
+
+    def fault_lines(self, capsys, which, check, violations):
+        """The planted fault's lines from the oracle, which the pass must
+        print too on ball(5), on each of `sets()`, and through the CLI with
+        exit code 1."""
+        for s in self.sets():
+            assert violations(s) == check(s) != []
+        expected = check(ball(5))
+        assert violations(ball(5)) == expected and len(expected) > 10
+        assert cli.run(["check", which, "--radius", "5"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == expected
+        assert out[-1] == f"check {which}: {len(out) - 1} violations (radius 5, 475 elements)"
+
+    def test_planted_rule_fault(self, capsys, monkeypatch):
+        rules = list(classify._CLOSURE_RULES)
+        for order, wrong in ((0, ClassLabel.M4), (2, ClassLabel.M6), (3, ClassLabel.M2)):
+            rules[order] = rules[order][:3] + (wrong,)
+        monkeypatch.setattr(classify, "_CLOSURE_RULES", tuple(rules))
+        self.fault_lines(capsys, "closures", check_closures, closure_violations)
+
+    def test_planted_flag_fault_in_closures(self, capsys, monkeypatch, no_built_balls):
+        # M3 elements of odd letter count read as M4: admissible, but wrong
+        flags = classify._divisor_flags
+
+        def faulty(g):
+            found = flags(g)
+            return (False, False, False, True) if found == (True, False, False, False) \
+                and (len(g[0]) + len(g[1])) % 2 else found
+
+        monkeypatch.setattr(classify, "_divisor_flags", faulty)
+        self.fault_lines(capsys, "closures", check_closures, closure_violations)
+
+    def test_planted_flag_fault_in_partition(self, capsys, monkeypatch, no_built_balls):
+        flags = classify._divisor_flags
+        monkeypatch.setattr(classify, "_divisor_flags",
+                            lambda g: (True,) * 4 if (len(g[0]) + len(g[1])) % 3 == 0
+                            else flags(g))
+        self.fault_lines(capsys, "partition", check_partition, partition_violations)
+
+    def test_check_verbs_unpack_no_normal_form(self, no_built_balls):
+        s = ball(7)
+        assert closure_violations(s) == partition_violations(s) == []
+        assert s._graph._elements is None and s._graph._number is None
+
+    def test_products_are_made_only_off_the_columns(self, monkeypatch, no_built_balls):
+        # a product by x0 or x1 is made only when it leaves the graph, and
+        # every product by x0^-1 or x1^-1 is made: by a letter step on a
+        # ball, by nf_multiply on a spanned graph
+        sets = [(ball(6), "step"), (off_ball_sets()[1], "nf_multiply")]
+        made = []
+        monkeypatch.setattr(folner, "GENERATOR_STEPS", tuple(
+            lambda key, step=step: made.append("step") or step(key) for step in GENERATOR_STEPS))
+        monkeypatch.setattr(folner, "nf_multiply",
+                            lambda a, b: made.append("nf_multiply") or nf_multiply(a, b))
+        for s, kind in sets:
+            number = s._graph.number
+            expected = sum(
+                factor in GENERATORS[1::2] or nf_multiply(v, factor) not in number
+                for v in s
+                for _, sources, factor, _ in classify._CLOSURE_RULES
+                if class_of(v) in sources
+            )
+            made.clear()
+            assert closure_violations(s) == []
+            assert made == [kind] * expected and expected > 0
+
+    def test_products_off_the_largest_ball(self):
+        # sphere _MAX_RADIUS holds these; their products have up to 254
+        # letters and indices up to 254 (x0^-253 x1 is x254 x0^-253), and
+        # the class rule on x0^-254's key lands x1 at 255
+        n = folner._MAX_RADIUS
+        forms = [nf(w) for w in (f"x0^-{n}", f"x0^{n}", f"x1^{n}", f"x1^-{n}",
+                                 f"x0^-{n - 1} x1", f"x1^-1 x0^-{n - 1}")]
+        keys = [step(pack(v)) for v in forms for step in GENERATOR_STEPS]
+        assert max(max(key[1:]) for key in keys) == 254
+        assert class_values(map(key_halves, keys)) == bytes(class_of(unpack(w)).value
+                                                            for w in keys)
+        # the closure pass on these forms as the last sphere of a ball: every
+        # column entry is -1, so every product is a packed step
+        graph = folner._CayleyBall.__new__(folner._CayleyBall)
+        folner._CayleyGraph.__init__(graph, None, None,
+                                     tuple(array("i", [-1]) * len(forms) for _ in "01"))
+        graph.keys = [pack(v) for v in forms]
+        s = ElementSet._view(graph, b"\1" * len(forms) + b"\0")
+        assert closure_violations(s) == check_closures(forms) == []
+        assert partition_violations(s) == []
 
 
 class TestDeletionBound:
