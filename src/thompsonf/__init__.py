@@ -1,10 +1,10 @@
 """Thompson's group F: exact arithmetic in two independent representations.
 
 Elements live either as normal forms over the infinite generating set
-(`words`) or as canonical forest-pair diagrams (`thompsonf.diagrams`, the
-test oracle, imported on its own and not re-exported here).  On top sit
+(`words`) or as canonical forest-pair diagrams (`diagrams`).  On top sit
 the right-divisor classification into M1..M7 (`classify`) and a
-Cayley-graph toolkit with exact rational densities (`folner`).
+Cayley-graph toolkit with exact rational densities (`folner`).  The two
+test oracles, `diagrams` and `rewriting`, are not imported here.
 """
 
 from .words import (
@@ -21,7 +21,6 @@ from .words import (
     nf_multiply,
     parse_word,
     reduce_to_normal_form,
-    reduce_word_by_rewriting,
     to_standard_word,
 )
 from .classify import (

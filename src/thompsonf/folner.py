@@ -528,7 +528,7 @@ def deletion_bound_check(s: ElementSet, k: ElementSet) -> DeletionBoundReport:
     )
 
 
-# -- CSV and DOT output --------------------------------------------------------
+# -- CSV output ----------------------------------------------------------------
 
 
 def histogram_csv(counts: dict[ClassLabel, int]) -> str:
@@ -548,21 +548,4 @@ def density_csv(label: str, stats: SubgraphStats) -> str:
 def elements_csv(s: ElementSet) -> str:
     lines = ["element"]  # sorted_members order: the strings are unique
     lines.extend(sorted(compress(s._graph.labels(), s._mask)))
-    return "\n".join(lines) + "\n"
-
-
-def subgraph_dot(s: ElementSet) -> str:
-    """DOT digraph of the spanned subgraph: vertices labelled by normal
-    forms, one arrow per x0 and x1 edge staying inside the set."""
-    lines = ["digraph cayley_subgraph {"]
-    graph, mask = s._graph, s._mask
-    ordered = s.sorted_members()
-    for v in ordered:
-        lines.append(f'  "{v}";')
-    for v in ordered:
-        for column, name in zip(graph.columns, ("x0", "x1")):
-            w = column[graph.number[v]]
-            if mask[w]:  # mask[-1] is the trailing 0
-                lines.append(f'  "{v}" -> "{graph.elements[w]}" [label="{name}"];')
-    lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,9 +27,9 @@ together with a shift rule: a factor x_i w x_i^-1 in which every letter
 of w has index >= i+2 rewrites to w with all indices decremented by one.
 The system is confluent (certified by tests), so the rewriting order does
 not matter.  `reduce_to_normal_form` folds a word's letters into a normal
-form one at a time, on vectors that count each index in either half;
-`reduce_word_by_rewriting` applies the literal rules one redex at a time
-under a selectable strategy and exists so the two orders can be compared.
+form one at a time, on vectors that count each index in either half.
+The literal rules, applied one redex at a time, are the test oracle in
+`thompsonf.rewriting`, which no CLI verb loads.
 """
 
 from __future__ import annotations
@@ -359,8 +359,10 @@ GENERATORS: tuple[NormalForm, ...] = (
 #
 # A packed key is one bytes object, bytes((len(pos),)) + bytes(pos) +
 # bytes(neg): the BFS stores balls as keys, one small hashable object per
-# element instead of three tuples.  A form packs when len(pos) and every
-# index are at most PACKED_MAX.  `_key_steps` reads `_times_positive` and
+# element instead of three tuples.  A form packs when len(pos), len(neg)
+# and every index are at most PACKED_MAX: the class rule looks for x1's
+# landing point, up to len(neg) + 1, in a key's bytes halves, and a bytes
+# membership test raises above 255.  `_key_steps` reads `_times_positive` and
 # `_times_negative` (proofs there) on keys: an index shift is one
 # `translate` of the key from the first pos byte above the landing point
 # t on, and the neg bytes the landing passed lie below t, so the table for
@@ -379,7 +381,7 @@ _LOWER = [_IDENTITY_TABLE[: t + 1] + _IDENTITY_TABLE[t:255] for t in range(256)]
 def pack(v: NormalForm) -> bytes | None:
     """The packed key of `v`, or None when it does not pack."""
     pos, neg = v
-    if len(pos) > PACKED_MAX or max(pos[-1:] + neg[-1:], default=0) > PACKED_MAX:
+    if max(len(pos), len(neg), *pos[-1:], *neg[-1:]) > PACKED_MAX:
         return None
     return bytes((len(pos),)) + bytes(pos) + bytes(neg)
 
@@ -551,83 +553,6 @@ def nf_invert(a: NormalForm) -> NormalForm:
     """Normal form of the inverse: swap the positive and negative halves.
     The side condition is symmetric, so no further rewriting is needed."""
     return _trusted(a.neg, a.pos)
-
-
-# -- literal small-step rewriting --------------------------------------------
-
-
-STRATEGIES = ("leftmost", "rightmost")
-
-
-def _adjacent_rewrite(a: Letter, b: Letter) -> tuple[Letter, ...] | None:
-    """Replacement for the adjacent pair (a, b), or None if irreducible."""
-    if a.index == b.index and a.sign == -b.sign:
-        return ()
-    if a.sign > 0 and b.sign > 0 and a.index > b.index:
-        return (b, Letter(a.index + 1, 1))
-    if a.sign < 0 and b.sign < 0 and a.index < b.index:
-        return (Letter(b.index + 1, -1), a)
-    if a.sign < 0 and b.sign > 0:
-        if a.index < b.index:
-            return (Letter(b.index + 1, 1), a)
-        return (b, Letter(a.index + 1, -1))
-    return None
-
-
-def _seminormalize(letters: list[Letter], leftmost: bool) -> None:
-    """Apply the adjacent rules in place until none fires, attacking the
-    leftmost or the rightmost redex first."""
-    k = 0 if leftmost else len(letters) - 2
-    while 0 <= k < len(letters) - 1:
-        replacement = _adjacent_rewrite(letters[k], letters[k + 1])
-        if replacement is None:
-            k += 1 if leftmost else -1
-        else:
-            letters[k : k + 2] = replacement
-            k = max(0, k - 1) if leftmost else min(len(letters) - 2, k + 1)
-
-
-def _find_shift_redex(letters: list[Letter], leftmost: bool):
-    """Locate a factor x_i w x_i^-1 with all indices of w >= i+2."""
-    order = range(len(letters)) if leftmost else range(len(letters) - 1, -1, -1)
-    for k in order:
-        index, sign = letters[k]
-        if sign < 0:
-            continue
-        for l in range(k + 1, len(letters)):
-            other, other_sign = letters[l]
-            if other == index and other_sign < 0:
-                return k, l
-            if other < index + 2:
-                break
-    return None
-
-
-def reduce_word_by_rewriting(w: Word, strategy: str = "leftmost") -> NormalForm:
-    """Reduce by applying one rewriting rule at a time.
-
-    `strategy` picks which redex to attack first ("leftmost" or
-    "rightmost"); every strategy reaches the same normal form.
-    """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    leftmost = strategy == "leftmost"
-    letters = list(w.letters)
-    while True:
-        _seminormalize(letters, leftmost)
-        redex = _find_shift_redex(letters, leftmost)
-        if redex is None:
-            break
-        k, l = redex
-        letters[k : l + 1] = [Letter(ix - 1, sg) for ix, sg in letters[k + 1 : l]]
-    split = len(letters)
-    for m, lt in enumerate(letters):
-        if lt.sign < 0:
-            split = m
-            break
-    pos = tuple(lt.index for lt in letters[:split])
-    neg = tuple(lt.index for lt in reversed(letters[split:]))
-    return NormalForm(pos, neg)
 
 
 # -- standard two-generator alphabet -----------------------------------------

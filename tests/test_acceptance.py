@@ -36,6 +36,7 @@ from thompsonf.folner import (
     subgraph_density,
 )
 from thompsonf import cli
+from thompsonf.rewriting import reduce_word_by_rewriting
 from thompsonf.words import (
     IDENTITY,
     Letter,
@@ -45,7 +46,6 @@ from thompsonf.words import (
     nf_multiply,
     parse_word,
     reduce_to_normal_form,
-    reduce_word_by_rewriting,
     to_standard_word,
 )
 

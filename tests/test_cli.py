@@ -326,6 +326,7 @@ def test_module_entry_point():
 _LEAF_CHILD = """
 import contextlib, io, sys
 import thompsonf
+print("thompsonf.rewriting" in sys.modules)
 from thompsonf import cli, folner
 verbs = ["reduce x0", "classify x0", "ball 2", "histogram 2",
          "check partition --radius 2", "check closures --radius 2", "density 2 --drop M1"]
@@ -334,7 +335,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     exact = [m in sys.modules for m in ("fractions", "decimal", "numbers")]
     codes.append(cli.run(verbs[-1].split()))
 print(codes, exact,
-      [m in sys.modules for m in ("thompsonf.diagrams", "dataclasses", "inspect", "fractions")])
+      [m in sys.modules for m in ("thompsonf.diagrams", "dataclasses", "inspect", "fractions",
+                                  "thompsonf.rewriting")])
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run("check lemma-del --radius 2 --samples 50".split())
 import dataclasses
@@ -343,13 +345,14 @@ report = dataclasses.replace(report, density_after=report.density_after - 9)
 print(code, type(report) is folner.DeletionBoundReport, report.density_after,
       "thompsonf.diagrams" in sys.modules)
 cli.run(["diagram", "x0"])
-print("thompsonf.diagrams" in sys.modules)
+print("thompsonf.diagrams" in sys.modules, "thompsonf.rewriting" in sys.modules)
 """
 
 
 def test_only_the_diagram_verb_loads_the_diagram_model():
     # a fresh child, with the environment test_module_entry_point builds;
-    # it also pins that only a verb that makes a Fraction loads `fractions`
+    # it also pins that only a verb that makes a Fraction loads `fractions`,
+    # and that neither the package nor any verb loads `thompsonf.rewriting`
     src = os.path.dirname(os.path.dirname(thompsonf.__file__))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -358,8 +361,9 @@ def test_only_the_diagram_verb_loads_the_diagram_model():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "[0, 0, 0, 0, 0, 0, 0] [False, False, False] [False, False, False, True]\n"
-        "1 True -15/2 False\n(..)|..\nTrue\n"
+        "False\n"
+        "[0, 0, 0, 0, 0, 0, 0] [False, False, False] [False, False, False, True, False]\n"
+        "1 True -15/2 False\n(..)|..\nTrue False\n"
     )
 
 

@@ -31,7 +31,6 @@ from thompsonf.folner import (
     mu_hat,
     partition_violations,
     subgraph_density,
-    subgraph_dot,
     translate_set,
 )
 from thompsonf.words import (
@@ -564,14 +563,11 @@ class TestSpannedGraph:
 
     def test_outputs_match_oracles(self):
         for s in off_ball_sets():
-            members = s.members
+            graph, members = s._graph, s.members
             assert s.sorted_members() == sorted(members, key=str)
-            dot = subgraph_dot(s)
-            edges = [(v, w, name) for v in members for k, name in ((0, "x0"), (2, "x1"))
-                     for w in [nf_multiply(v, GENERATORS[k])] if w in members]
-            assert dot.count(" -> ") == len(edges)
-            for v, w, name in edges:
-                assert f'"{v}" -> "{w}" [label="{name}"];' in dot
+            for column, g in zip(graph.columns, GENERATORS[0::2]):
+                for u, v in enumerate(graph.elements):
+                    assert column[u] == graph.number.get(nf_multiply(v, g), -1)
 
 
 _far_elements = st.lists(
@@ -699,7 +695,6 @@ class TestProductCounts:
         class_histogram(s)
         drop_classes(s, [ClassLabel.M1, ClassLabel.M3])
         s.sorted_members()
-        subgraph_dot(s)
         assert counter_everywhere == []
 
     def test_operations_across_graphs_make_no_products(self, counter):
@@ -939,12 +934,3 @@ class TestOutputFormats:
         assert hashlib.sha256(csv.encode()).hexdigest() == (
             "23dfd5e7dbdb94a09c44408d777e181d523a672c2d68472f606bbef425918e17"
         )
-
-    def test_subgraph_dot(self):
-        dot = subgraph_dot(ball(1))
-        assert dot == subgraph_dot(ball(1))
-        assert dot.startswith("digraph cayley_subgraph {")
-        assert '"x0^-1" -> "e" [label="x0"];' in dot
-        assert '"x1^-1" -> "e" [label="x1"];' in dot
-        # only edges inside the set appear
-        assert '"x0" -> "x0' not in dot

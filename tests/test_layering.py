@@ -1,5 +1,6 @@
 """The package-internal import graph: the normal-form stack
-words -> classify -> folner never imports the diagram model."""
+words -> classify -> folner never imports the two test oracles, the
+diagram model and the literal rewriting."""
 
 import ast
 from pathlib import Path
@@ -34,10 +35,19 @@ def import_graph():
     return {p.stem: internal_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
 
 
+def test_every_module_has_its_place():
+    # a new module joins the verb path or the oracles by an edit here
+    assert set(import_graph()) == {
+        "__init__", "__main__", "cli", "classify", "deletion_report", "diagrams",
+        "folner", "rewriting", "words",
+    }
+
+
 def test_normal_form_stack_stands_on_words():
     graph = import_graph()
     assert graph["words"] == set()
     assert graph["diagrams"] == {"words"}
+    assert graph["rewriting"] == {"words"}
     assert graph["classify"] == {"words"}
     assert graph["folner"] == {"classify", "deletion_report", "words"}
     assert graph["deletion_report"] == set()
@@ -47,6 +57,11 @@ def test_only_the_front_ends_import_diagrams():
     graph = import_graph()
     importers = {name for name, imports in graph.items() if "diagrams" in imports}
     assert importers == {"cli"}
+
+
+def test_no_module_imports_rewriting():
+    graph = import_graph()
+    assert not [name for name, imports in graph.items() if "rewriting" in imports]
 
 
 def test_graph_reader_sees_every_import_form(tmp_path):

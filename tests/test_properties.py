@@ -11,11 +11,11 @@ from thompsonf.diagrams import (
     nf_to_diagram,
     parse_diagram,
 )
+from thompsonf.rewriting import reduce_word_by_rewriting
 from thompsonf.words import (
     nf_multiply,
     parse_word,
     reduce_to_normal_form,
-    reduce_word_by_rewriting,
 )
 
 tokens = st.tuples(

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_normal_form, random_word, small_normal_forms
-from thompsonf.classify import check_closures
+from thompsonf.classify import check_closures, class_of, class_values
 from thompsonf.diagrams import diagram_to_nf, nf_to_diagram
 from thompsonf.folner import ball, translate_set
+from thompsonf.rewriting import reduce_word_by_rewriting
 from thompsonf.words import (
     GENERATOR_STEPS,
     GENERATORS,
@@ -28,12 +29,12 @@ from thompsonf.words import (
     _times_positive,
     format_word,
     from_standard_word,
+    key_halves,
     nf_invert,
     nf_multiply,
     pack,
     parse_word,
     reduce_to_normal_form,
-    reduce_word_by_rewriting,
     to_standard_word,
     unpack,
 )
@@ -605,6 +606,7 @@ class TestPackedKeys:
         NormalForm((), (300,)),
         NormalForm((1, 300), (2,)),
         NormalForm((0,) * (PACKED_MAX + 1), ()),
+        NormalForm((), (0,) * (PACKED_MAX + 1)),
     ])
     def test_forms_past_a_byte_do_not_pack(self, v):
         assert pack(v) is None
@@ -612,3 +614,16 @@ class TestPackedKeys:
     def test_forms_at_the_bound_pack(self):
         for v in (NormalForm((PACKED_MAX,), (PACKED_MAX - 1,)), NormalForm((0,) * PACKED_MAX, ())):
             assert unpack(pack(v)) == v
+
+    def test_class_values_read_keys_with_the_longest_neg(self):
+        # the class rule lands x1 past every neg entry below it, at len(neg) + 1
+        forms = [
+            NormalForm((), (0,) * PACKED_MAX),
+            NormalForm((PACKED_MAX,), (0,) * PACKED_MAX),
+            NormalForm((0,), (0,) * (PACKED_MAX - 1) + (1,)),
+            NormalForm((), tuple(range(PACKED_MAX))),
+        ]
+        keys = [pack(v) for v in forms]
+        assert [len(key) for key in keys] == [len(v.pos) + PACKED_MAX + 1 for v in forms]
+        assert [unpack(key) for key in keys] == forms
+        assert list(class_values(map(key_halves, keys))) == [class_of(v).value for v in forms]
