@@ -33,21 +33,21 @@ reads tuples, and `class_values` classifies a ball without unpacking it.
 `diagrams.right_divisible` applies the definition literally to a
 diagram and is the oracle this rule is tested against.
 
-`check_partition` and `check_closures` verify, on a finite set of
-elements, that no other divisor set occurs and that right multiplication
-by the generators moves the classes the way it should.  They take any
-iterable and multiply normal forms; the check verbs run their passes over
-a graph instead (`folner.partition_violations`,
-`folner.closure_violations`), which print the same lines and are tested
-against them.
+`check_partition` and `check_closures` verify, on any finite iterable of
+normal forms, that no other divisor set occurs and that right
+multiplication by the generators moves the classes the way it should;
+only `check_closures` makes products.  They are the oracles of the check
+verbs' passes over a graph (`folner.partition_violations`,
+`folner.closure_violations`): the passes decide, and when a check fails
+the oracles write the lines.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from .words import GENERATORS, InvariantViolation, NormalForm, _Value, nf_multiply
 
@@ -65,17 +65,7 @@ class ClassLabel(enum.Enum):
         return self.name
 
 
-# flags ordered (X0, X0^-1, X1, X1^-1)
-_LEGAL_DIVISOR_SETS: dict[tuple[bool, bool, bool, bool], ClassLabel] = {
-    (False, False, False, False): ClassLabel.M1,
-    (False, True, False, False): ClassLabel.M2,
-    (True, False, False, False): ClassLabel.M3,
-    (False, False, False, True): ClassLabel.M4,
-    (False, False, True, False): ClassLabel.M5,
-    (False, True, False, True): ClassLabel.M6,
-    (False, True, True, False): ClassLabel.M7,
-}
-
+_LABELS = (None, *ClassLabel)  # by value, faster than calling ClassLabel
 _DIVISOR_NAMES = ("X0", "X0^-1", "X1", "X1^-1")
 
 
@@ -96,7 +86,7 @@ class DivisorSet(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.flags() not in _LEGAL_DIVISOR_SETS:
+        if self.flags() not in _CLASS_VALUES:
             raise InvariantViolation(
                 f"divisor set {{{', '.join(self.members())}}} is not one of "
                 f"the seven admissible sets"
@@ -109,7 +99,27 @@ class DivisorSet(_Value):
         return tuple(compress(_DIVISOR_NAMES, self.flags()))
 
     def label(self) -> ClassLabel:
-        return _LEGAL_DIVISOR_SETS[self.flags()]
+        return _LABELS[_CLASS_VALUES[self.flags()]]
+
+
+class _ClassValues(dict):
+    """Divisor flags to class value; a missing key is an inadmissible set,
+    and DivisorSet raises the InvariantViolation that names it."""
+
+    def __missing__(self, flags: tuple[bool, bool, bool, bool]) -> NoReturn:
+        DivisorSet(*flags)
+
+
+# the flags (X0, X0^-1, X1, X1^-1) of the seven admissible sets to class values
+_CLASS_VALUES = _ClassValues({
+    (False, False, False, False): 1,
+    (False, True, False, False): 2,
+    (True, False, False, False): 3,
+    (False, False, False, True): 4,
+    (False, False, True, False): 5,
+    (False, True, False, True): 6,
+    (False, True, True, False): 7,
+})
 
 
 _X0, _X0_INV, _X1, _X1_INV = GENERATORS
@@ -137,31 +147,14 @@ def right_divisors(g: NormalForm) -> DivisorSet:
 
 def class_of(g: NormalForm) -> ClassLabel:
     """The class M1 ... M7 of a group element."""
-    flags = _divisor_flags(g)
-    # DivisorSet raises the InvariantViolation that names an inadmissible set
-    return _LEGAL_DIVISOR_SETS.get(flags) or DivisorSet(*flags).label()
+    return _LABELS[_CLASS_VALUES[_divisor_flags(g)]]
 
 
-class _ClassValues(dict):
-    """Divisor flags to class value; DivisorSet raises the
-    InvariantViolation that names an inadmissible set."""
-
-    def __missing__(self, flags: tuple[bool, bool, bool, bool]) -> int:
-        return DivisorSet(*flags).label().value
-
-
-_CLASS_VALUES = _ClassValues({flags: label.value for flags, label in _LEGAL_DIVISOR_SETS.items()})
-
-
-def class_values(halves: Iterable[tuple], inadmissible: int | None = None) -> bytes:
+def class_values(halves: Iterable[tuple]) -> bytes:
     """The value of `class_of` for every (pos, neg) pair, normal forms or
-    packed-key halves alike, in one pass.  A pair whose divisor set is
-    inadmissible raises, as `class_of` does, or reads `inadmissible` when
-    that is given."""
-    flags = map(_divisor_flags, halves)
-    if inadmissible is None:
-        return bytes(map(_CLASS_VALUES.__getitem__, flags))
-    return bytes(map(_CLASS_VALUES.get, flags, repeat(inadmissible)))
+    packed-key halves alike, in one pass; an inadmissible divisor set
+    raises, as in `class_of`."""
+    return bytes(map(_CLASS_VALUES.__getitem__, map(_divisor_flags, halves)))
 
 
 # (name, applies-to classes, right factor, expected class)
@@ -190,7 +183,8 @@ def check_closures(elements: Iterable[NormalForm]) -> list[str]:
                 continue
             got = class_of(nf_multiply(g, factor))
             if got is not expected:
-                violations.append((str(g), _closure_line(str(g), rule_name, cls, got)))
+                violations.append((str(g), f"{g}: rule {rule_name} failed, element is "
+                                           f"{cls} but the product landed in {got}"))
     return [line for _, line in sorted(violations, key=itemgetter(0))]
 
 
@@ -201,19 +195,7 @@ def check_partition(elements: Iterable[NormalForm]) -> list[str]:
     violations: list[tuple[str, str]] = []
     for g in elements:
         flags = _divisor_flags(g)
-        if flags not in _LEGAL_DIVISOR_SETS:
-            violations.append((str(g), _partition_line(str(g), flags)))
+        if flags not in _CLASS_VALUES:
+            found = ", ".join(compress(_DIVISOR_NAMES, flags))
+            violations.append((str(g), f"{g}: divisor set {{{found}}} is not admissible"))
     return [line for _, line in sorted(violations, key=itemgetter(0))]
-
-
-# the violation lines of both checks, shared with their passes over a graph
-# (`folner.closure_violations`, `folner.partition_violations`)
-
-
-def _closure_line(label: str, rule_name: str, cls: ClassLabel, got: ClassLabel) -> str:
-    return f"{label}: rule {rule_name} failed, element is {cls} but the product landed in {got}"
-
-
-def _partition_line(label: str, flags: tuple[bool, bool, bool, bool]) -> str:
-    found = ", ".join(compress(_DIVISOR_NAMES, flags))
-    return f"{label}: divisor set {{{found}}} is not admissible"

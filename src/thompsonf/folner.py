@@ -22,9 +22,10 @@ graph both guarantee.  Sort ranks and classes (one byte per element,
 the value of its `class_of` label, read off the (pos, neg) halves of
 each element with no product) are derived once per graph, on first
 use.  Densities, histograms, deletion checks and sort orders read
-columns, class bytes and masks; none multiplies normal forms.  The
-closure check reads them too, and makes only the products that no
-column holds: those that leave the graph, and those by x0^-1 and x1^-1.
+columns, class bytes and masks; none multiplies normal forms.  The check
+passes read them too and only decide; the closure pass makes just the
+products no column holds (those that leave the graph, and those by x0^-1
+and x1^-1), and a failing check's lines come from its `classify` oracle.
 
 A ball (`_CayleyBall`) is built once, by BFS, on packed keys: each
 element is one bytes object (`words.pack`), and the BFS dedups them in a
@@ -66,13 +67,13 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from itertools import chain, compress, repeat, starmap
-from operator import lt, mul
+from operator import mul
 from typing import Iterable, Iterator
 
 from . import classify
 from .classify import ClassLabel, class_values
-from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, NormalForm, _Value,
-                    format_halves, key_halves, nf_multiply, pack, unpack)
+from .words import (GENERATOR_STEPS, GENERATORS, IDENTITY, PACKED_MAX, InvariantViolation,
+                    NormalForm, _Value, format_halves, key_halves, nf_multiply, pack, unpack)
 
 
 def Fraction(numerator: int, denominator: int) -> Fraction:
@@ -129,22 +130,18 @@ class _CayleyGraph:
             self._number = {v: u for u, v in enumerate(self.elements)}
         return self._number
 
-    def halves(self, numbers: Iterable[int] | None = None) -> Iterable[tuple]:
-        """The (pos, neg) halves of every element, in number order, or of
-        the elements `numbers` names."""
-        if numbers is None:
-            return self.elements
-        return map(self.elements.__getitem__, numbers)
+    def halves(self) -> Iterable[tuple]:
+        """The (pos, neg) halves of every element, in number order."""
+        return self.elements
 
     def products(self, numbers: Iterable[int], k: int) -> Iterator[tuple]:
         """The (pos, neg) halves of v * GENERATORS[k] for each element v
         that `numbers` names."""
-        return map(nf_multiply, self.halves(numbers), repeat(GENERATORS[k]))
+        return map(nf_multiply, map(self.elements.__getitem__, numbers), repeat(GENERATORS[k]))
 
-    def labels(self, numbers: Iterable[int] | None = None) -> Iterator[str]:
-        """The formatted normal form of every element, in number order, or
-        of the elements `numbers` names."""
-        return starmap(format_halves, self.halves(numbers))
+    def labels(self) -> Iterator[str]:
+        """The formatted normal form of every element, in number order."""
+        return starmap(format_halves, self.halves())
 
     def rank(self) -> array:
         """Position of every element in the order of formatted normal forms;
@@ -160,7 +157,8 @@ class _CayleyGraph:
     def classes(self) -> bytes:
         """The class of every element, as the value 1 ... 7 of its label.  The
         whole graph is classified on first use, however small the set (ball(8):
-        11,237 elements), so later histograms and drops on it are free."""
+        11,237 elements), so later histograms and drops on it are free.  An
+        inadmissible divisor set raises, as in `class_of`."""
         if self._classes is None:
             self._classes = class_values(self.halves())
         return self._classes
@@ -233,9 +231,8 @@ class _CayleyBall(_CayleyGraph):
             self._elements = list(map(unpack, self.keys))
         return self._elements
 
-    def halves(self, numbers: Iterable[int] | None = None) -> Iterator[tuple[bytes, bytes]]:
-        keys = self.keys if numbers is None else map(self.keys.__getitem__, numbers)
-        return map(key_halves, keys)
+    def halves(self) -> Iterator[tuple[bytes, bytes]]:
+        return map(key_halves, self.keys)
 
     def products(self, numbers: Iterable[int], k: int) -> Iterator[tuple[bytes, bytes]]:
         # one packed letter step each; every product packs (_MAX_RADIUS)
@@ -447,54 +444,42 @@ def translate_set(s: ElementSet, g: NormalForm) -> ElementSet:
 
 
 def partition_violations(s: ElementSet) -> list[str]:
-    """The lines of `classify.check_partition` on the members of s, in its
-    order, read off the graph: the one flags pass that `classes()` makes,
-    with 0 for an inadmissible divisor set instead of an error."""
-    graph = s._graph
-    values = graph._classes or class_values(graph.halves(), 0)
-    # values[u] < mask[u] exactly for a member whose divisor set is inadmissible
-    numbers = list(compress(range(len(graph)), map(lt, values, s._mask)))
-    labels = list(graph.labels(numbers))
-    lines = map(classify._partition_line, labels,
-                map(classify._divisor_flags, graph.halves(numbers)))
-    return [line for _, line in sorted(zip(labels, lines))]
+    """The lines of `classify.check_partition` on the members of s.  The
+    class pass `classes()` decides: it raises at the first inadmissible
+    divisor set in the graph, and only then does the oracle run on s."""
+    try:
+        s._graph.classes()
+    except InvariantViolation:
+        return classify.check_partition(s)
+    return []
 
 
 def closure_violations(s: ElementSet) -> list[str]:
-    """The lines of `classify.check_closures` on the members of s, in its
-    order, read off the graph.  A rule's sources are the members whose
-    class byte it applies to.  For x0 and x1, the class of a source's
-    product is the class byte its column entry names; only the products
-    outside the graph, and every product by x0^-1 or x1^-1 (no column
-    holds those edges), are made by `products` (a packed letter step on a
-    ball) and classified from their halves.  A violator's label is
-    formatted only when a rule fails."""
+    """The lines of `classify.check_closures` on the members of s, which
+    runs only once a rule fails on the graph.  A rule's sources are the
+    members whose class byte it applies to.  For x0 and x1, the class of a
+    source's product is the class byte its column entry names; only the
+    products outside the graph, and every product by x0^-1 or x1^-1 (no
+    column holds those edges), are made by `products` (a packed letter
+    step on a ball) and classified from their halves."""
     graph, mask = s._graph, s._mask
     classes = graph.classes()
     members = bytes(map(mul, classes, mask))  # the class value of a member, else 0
-    rules = classify._CLOSURE_RULES
-    found = []  # (number, rule order, class value of the product)
-    for order, (_, sources, factor, expected) in enumerate(rules):
+    for _, sources, factor, expected in classify._CLOSURE_RULES:
         k = GENERATORS.index(factor)
         select = bytearray(256)
         for label in sources:
             select[label.value] = 1
-        wrong = bytes(value != expected.value for value in range(256))
-        made = numbers = array("i", compress(range(len(graph)), members.translate(select)))
+        numbers = array("i", compress(range(len(graph)), members.translate(select)))
+        got = b""  # the class values of the sources' products
         if not k & 1:
             targets = array("i", map(graph.columns[k >> 1].__getitem__, numbers))
-            # a -1 entry reads the expected value; those products are made below
-            read = bytes(map((classes + bytes((expected.value,))).__getitem__, targets))
-            found += compress(zip(numbers, repeat(order), read), read.translate(wrong))
-            made = array("i", compress(numbers, map((-1).__eq__, targets)))
-        values = class_values(graph.products(made, k))
-        found += compress(zip(made, repeat(order), values), values.translate(wrong))
-    lines = [
-        (label, order, classify._closure_line(
-            label, rules[order][0], ClassLabel(classes[u]), ClassLabel(value)))
-        for (u, order, value), label in zip(found, graph.labels(u for u, _, _ in found))
-    ]
-    return [line for _, _, line in sorted(lines)]
+            got = bytes(map(classes.__getitem__, filter((-1).__lt__, targets)))
+            numbers = array("i", compress(numbers, map((-1).__eq__, targets)))
+        got += class_values(graph.products(numbers, k))
+        if got.count(expected.value) != len(got):
+            return classify.check_closures(s)
+    return []
 
 
 def __getattr__(name: str):

@@ -783,6 +783,40 @@ class TestCheckPasses:
                             else flags(g))
         self.fault_lines(capsys, "partition", check_partition, partition_violations)
 
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        """The name of each oracle a pass calls through `classify`; the
+        tests' own calls go to the functions imported above, uncounted."""
+        calls = []
+        for name in ("check_closures", "check_partition"):
+            def counting(s, name=name, oracle=getattr(classify, name)):
+                calls.append(name)
+                return oracle(s)
+            monkeypatch.setattr(classify, name, counting)
+        return calls
+
+    def test_passes_decide_without_the_oracles(self, oracle_calls):
+        # an oracle called on correct code would hide a pass's false alarm
+        for s in [ball(n) for n in range(9)] + self.sets():
+            assert closure_violations(s) == partition_violations(s) == []
+        assert oracle_calls == []
+
+    @pytest.mark.parametrize("fault, oracle", [
+        ("rule_fault", "check_closures"),
+        ("flag_fault_in_closures", "check_closures"),
+        ("flag_fault_in_partition", "check_partition"),
+    ])
+    def test_a_failing_pass_calls_its_oracle_once(self, fault, oracle, oracle_calls, capsys,
+                                                  monkeypatch, no_built_balls):
+        # each planted-fault test runs the pass, through fault_lines, on each
+        # of sets(), on ball(5) and through the CLI
+        plant = getattr(self, f"test_planted_{fault}")
+        if fault == "rule_fault":
+            plant(capsys, monkeypatch)
+        else:
+            plant(capsys, monkeypatch, no_built_balls)
+        assert oracle_calls == [oracle] * (len(self.sets()) + 2)
+
     def test_check_verbs_unpack_no_normal_form(self, no_built_balls):
         s = ball(7)
         assert closure_violations(s) == partition_violations(s) == []

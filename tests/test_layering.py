@@ -64,6 +64,19 @@ def test_no_module_imports_rewriting():
     assert not [name for name, imports in graph.items() if "rewriting" in imports]
 
 
+def test_folner_reads_one_private_classify_name():
+    # the check passes only decide; a failing check's lines come from the
+    # public oracles in classify
+    tree = ast.parse((PACKAGE / "folner.py").read_text(encoding="utf-8"))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "classify"}
+    read |= {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "classify"
+             for alias in node.names}
+    assert {"check_closures", "check_partition", "class_values"} <= read
+    assert {name for name in read if name.startswith("_")} == {"_CLOSURE_RULES"}
+
+
 def test_graph_reader_sees_every_import_form(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
