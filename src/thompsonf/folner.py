@@ -28,21 +28,22 @@ products no column holds (those that leave the graph, and those by x0^-1
 and x1^-1), and a failing check's lines come from its `classify` oracle.
 
 A ball (`_CayleyBall`) is built once, by BFS, on packed keys: each
-element is one bytes object (`words.pack`), and the BFS dedups them in a
-dict from key to number that it drops when done.  The ball keeps the
-keys; its normal forms and their dict are unpacked only when a set
-operation, a membership test or iteration asks for them, so the ball,
-density, histogram and drop paths build no `NormalForm`.  Elements are
-numbered in BFS order, so each sphere is a run of consecutive numbers,
-and the numbering of a smaller ball is a prefix of that of a larger one.
-The BFS takes each edge u*g = w with one packed letter step of
-`words.GENERATOR_STEPS`, the step `nf_multiply` takes for that
-one-letter right factor, and fills both directions (w*g^-1 = u) in four
-working columns, one per generator in GENERATORS order; it skips the
-edges it already knows.  The columns grow one sphere at a time: before
-a sphere is expanded each is padded with -1 by the number of unknown
-edges out of the sphere, which bounds its new elements, and trimmed
-back to the element count after.  The ball keeps the x0 and x1 columns.
+element is one bytes object (`words.pack`), and the BFS dedups them one
+sphere at a time, in a dict from key to number that it drops once the
+sphere is done.  The ball keeps the keys; its normal forms and their
+dict are unpacked only when a set operation, a membership test or
+iteration asks for them, so the ball, density, histogram and drop paths
+build no `NormalForm`.  Elements are numbered in BFS order, so each
+sphere is a run of consecutive numbers, and the numbering of a smaller
+ball is a prefix of that of a larger one.  The BFS takes each edge
+u*g = w with one packed letter step of `words.GENERATOR_STEPS`, the step
+`nf_multiply` takes for that one-letter right factor, and fills both
+directions (w*g^-1 = u) in four working columns, one per generator in
+GENERATORS order; it skips the edges it already knows.  The columns
+grow one sphere at a time: before a sphere is expanded each is padded
+with -1 by the number of unknown edges out of the sphere, which bounds
+its new elements, and trimmed back to the element count after.  The
+ball keeps the x0 and x1 columns.
 
 Every ball built is kept in one dict by radius for the life of the
 process, and none is evicted: ball sizes grow about 2.8 times a radius,
@@ -59,7 +60,9 @@ edge joins two elements of the same sphere.  A neighbour of an element
 at radius r < n lies in the ball, and the BFS has recorded that edge
 once it has expanded the element.  A neighbour of an element at radius n lies at
 radius n-1, an edge recorded from the other end, or at radius n+1,
-outside the ball.
+outside the ball.  In the same way every unknown edge out of sphere r
+lands in sphere r+1 (an edge into sphere r-1 was recorded when r-1 was
+expanded), so the dedup can forget each sphere once it is done.
 """
 
 from __future__ import annotations
@@ -178,14 +181,14 @@ def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
 
 class _CayleyBall(_CayleyGraph):
     """The radius-n ball, built by one BFS of packed letter steps, its
-    columns grown a sphere at a time (module docstring).  The elements are
-    kept as packed keys; the normal forms are unpacked on first use."""
+    columns grown and its new elements deduplicated a sphere at a time
+    (module docstring).  The elements are kept as packed keys; the normal
+    forms are unpacked on first use."""
 
     __slots__ = ("keys", "sphere_starts")
 
     def __init__(self, n: int, limit: int) -> None:
         keys = [pack(IDENTITY)]
-        number = {keys[0]: 0}
         columns = tuple(array("i", [-1]) for _ in GENERATORS)
         starts = [0, 1]  # sphere r holds the numbers starts[r] .. starts[r+1]-1
         steps = tuple(enumerate(GENERATOR_STEPS))
@@ -201,23 +204,21 @@ class _CayleyBall(_CayleyGraph):
             padding = array("i", [-1]) * room
             for column in columns:
                 column.extend(padding)
+            sphere = {}  # the keys of sphere `radius`, to their numbers from `end`
             for u in range(first, end):
                 v = keys[u]
                 for k, step in steps:
                     if columns[k][u] >= 0:
                         continue
-                    size = len(keys)
-                    w = step(v)
-                    j = number.setdefault(w, size)
-                    if j == size:
-                        if size >= limit:
-                            raise ResourceLimitError(
-                                f"element limit {limit} exceeded at radius {radius} "
-                                f"(radius {radius - 1} completed)"
-                            )
-                        keys.append(w)
+                    j = sphere.setdefault(step(v), end + len(sphere))
+                    if j >= limit:  # only a new element can be numbered this high
+                        raise ResourceLimitError(
+                            f"element limit {limit} exceeded at radius {radius} "
+                            f"(radius {radius - 1} completed)"
+                        )
                     columns[k][u] = j
                     columns[k ^ 1][j] = u
+            keys += sphere  # in insertion order, which is numbering order
             for column in columns:
                 del column[len(keys):]
             starts.append(len(keys))
@@ -431,7 +432,11 @@ def mu_hat(s: ElementSet, z: ElementSet) -> Fraction:
 
 def drop_classes(s: ElementSet, classes: Iterable[ClassLabel]) -> ElementSet:
     """Remove every element whose class lies in `classes`."""
-    dropped = {label.value for label in classes}
+    dropped = set()
+    for label in classes:
+        if not isinstance(label, ClassLabel):
+            raise TypeError(f"classes must be ClassLabels, got {type(label).__name__}")
+        dropped.add(label.value)
     if not dropped:
         return s
     keep = bytes(value not in dropped for value in range(256))
@@ -440,6 +445,8 @@ def drop_classes(s: ElementSet, classes: Iterable[ClassLabel]) -> ElementSet:
 
 def translate_set(s: ElementSet, g: NormalForm) -> ElementSet:
     """Right-translate: {v*g for v in s}.  A bijection, so the size is kept."""
+    if not isinstance(g, NormalForm):
+        raise TypeError(f"g must be a NormalForm, got {type(g).__name__}")
     return ElementSet.of(nf_multiply(v, g) for v in s)
 
 

@@ -3,6 +3,7 @@ import operator
 import random
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,10 @@ from thompsonf.words import (
     reduce_to_normal_form,
     unpack,
 )
+
+
+# sphere r of ball(4) holds the numbers BALL_FOUR_SPHERE_STARTS[r] .. [r+1]-1
+BALL_FOUR_SPHERE_STARTS = [0, 1, 5, 17, 53, 161]
 
 
 def nf(text):
@@ -88,7 +93,8 @@ class TestBall:
         with pytest.raises(ResourceLimitError, match="radius"):
             ball(5, limit=10)
 
-    def test_limit_of_exactly_the_ball_size(self):
+    def test_limit_of_exactly_the_ball_size(self, no_built_balls):
+        assert len(ball(4, limit=161)) == 161
         assert len(ball(6, limit=1381)) == 1381
         with pytest.raises(ResourceLimitError) as info:
             ball(6, limit=1380)
@@ -98,7 +104,13 @@ class TestBall:
         (6, 1, 1, False), (6, 5, 2, False), (6, 100, 4, False),
         # a built ball(8) does not serve a limit below its size
         (8, 11236, 8, True),
-    ], ids=["1-1", "5-2", "100-4", "warm-11236-8"])
+    ] + [
+        # every limit below ball(4)'s size: element number `limit` lies in
+        # sphere `radius`, so each refusal comes at a new element, however
+        # many known elements the BFS met before it
+        (4, limit, bisect_right(BALL_FOUR_SPHERE_STARTS, limit) - 1, False)
+        for limit in range(1, 161)
+    ], ids=["1-1", "5-2", "100-4", "warm-11236-8"] + [f"ball4-{limit}" for limit in range(1, 161)])
     def test_limit_message_names_the_radius(self, n, limit, radius, warm):
         if warm:
             ball(n)
@@ -275,6 +287,19 @@ class TestSetOperations:
     def test_translate_by_identity(self):
         assert set(translate_set(ball(2), nf("e"))) == set(ball(2))
 
+    def test_translate_by_a_normal_form(self):
+        with pytest.raises(TypeError) as info:
+            translate_set(ball(3), "x0")
+        assert str(info.value) == "g must be a NormalForm, got str"
+
+    @pytest.mark.parametrize("classes, name", [
+        (["M1"], "str"), ([ClassLabel.M1, 6], "int"), ([None], "NoneType"),
+    ])
+    def test_drop_classes_takes_class_labels(self, classes, name):
+        with pytest.raises(TypeError) as info:
+            drop_classes(ball(3), classes)
+        assert str(info.value) == f"classes must be ClassLabels, got {name}"
+
     def test_translated_intersection_tooling(self):
         # finite surrogate of intersecting translates of one set
         s = ball(3)
@@ -439,6 +464,16 @@ class TestCayleyBall:
         assert len(graph) == 88253
         # keys and two columns; three tuples an element would hold 23 MB
         assert size < 10 * 2**20
+
+    def test_ball_build_peak_memory(self):
+        # keys, four working columns and one sphere's dedup dict at a time
+        tracemalloc.start()
+        try:
+            folner._CayleyBall(10, DEFAULT_ELEMENT_LIMIT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
     def test_sorted_members_order(self):
         rng = random.Random(137)
