@@ -29,12 +29,11 @@ in forest length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
 
-from .words import InvariantViolation, NormalForm, ParseError
+from .words import InvariantViolation, NormalForm, ParseError, _Value
 
 Forest = str
 
@@ -45,7 +44,7 @@ _CARET = "(..)"
 def _check_forest(forest) -> None:
     """Raise unless `forest` is one or more binary trees in preorder."""
     if not isinstance(forest, str):
-        raise ValueError(f"forests must be strings, got {type(forest).__name__}")
+        raise TypeError(f"forests must be strings, got {type(forest).__name__}")
     if not forest:
         raise ValueError("forests must contain at least one tree")
     children: list[int] = []  # finished subtrees of each open caret
@@ -71,12 +70,15 @@ def _roots(forest: Forest) -> int:
     return forest.count(LEAF) - forest.count("(")
 
 
-@dataclass(frozen=True, eq=False)
-class Diagram:
+class Diagram(_Value):
     """A forest pair with equal leaf counts; not necessarily reduced."""
 
-    top: Forest
-    bottom: Forest
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top: Forest, bottom: Forest) -> None:
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_forest(self.top)
@@ -107,6 +109,8 @@ class Diagram:
 
 class CanonicalDiagram(Diagram):
     """A reduced diagram that is not a sum of a diagram and an edge."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         super().__post_init__()

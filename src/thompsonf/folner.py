@@ -193,11 +193,6 @@ class _CayleyBall(_CayleyGraph):
         starts = [0, 1]  # sphere r holds the numbers starts[r] .. starts[r+1]-1
         steps = tuple(enumerate(GENERATOR_STEPS))
         for radius in range(1, n + 1):
-            if radius > _MAX_RADIUS:
-                raise ResourceLimitError(
-                    f"radius {radius} exceeds {_MAX_RADIUS}, the largest radius whose "
-                    f"elements pack into bytes (radius {radius - 1} completed)"
-                )
             first, end = starts[-2], starts[-1]
             # each unknown edge out of the sphere adds at most one element
             room = sum(column[first:end].count(-1) for column in columns)
@@ -388,13 +383,16 @@ class SubgraphStats(_Value):
 
 def ball(n: int, limit: int = DEFAULT_ELEMENT_LIMIT) -> ElementSet:
     """All elements of word length at most n in {x0^+-1, x1^+-1}, by
-    breadth-first search from the identity.  Deterministic content;
-    raises ResourceLimitError when the set would exceed `limit`."""
+    breadth-first search from the identity.  Deterministic content; raises
+    ResourceLimitError past radius _MAX_RADIUS (253) or `limit` elements."""
     for name, value in (("radius", n), ("limit", limit)):
         if type(value) is not int:
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     if n < 0:
         raise ValueError("radius must be non-negative")
+    if n > _MAX_RADIUS:
+        raise ResourceLimitError(f"radius {n} exceeds {_MAX_RADIUS}, the largest radius "
+                                 "whose elements pack into bytes")
     if limit < 1:
         raise ValueError(f"element limit must be at least 1, got {limit}")
     graph = _BALLS.get(n)
@@ -487,13 +485,6 @@ def closure_violations(s: ElementSet) -> list[str]:
         if got.count(expected.value) != len(got):
             return classify.check_closures(s)
     return []
-
-
-def __getattr__(name: str):
-    if name == "DeletionBoundReport":  # a dataclass, so loaded on first use
-        from .deletion_report import DeletionBoundReport
-        return DeletionBoundReport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def deletion_bound_check(s: ElementSet, k: ElementSet) -> DeletionBoundReport:

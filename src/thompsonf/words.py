@@ -62,8 +62,12 @@ class _Value:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        # a subclass that adds no field, as CanonicalDiagram, keeps its parent's
+        cls._names = cls.__slots__ or cls._names
+
     def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+        return tuple(map(self.__getattribute__, self._names))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -74,7 +78,7 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = map("{}={!r}".format, self.__slots__, self._fields())
+        fields = map("{}={!r}".format, self._names, self._fields())
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
     def __reduce__(self):  # copy and pickle rebuild through __init__

@@ -340,9 +340,10 @@ print(codes, exact,
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run("check lemma-del --radius 2 --samples 50".split())
 import dataclasses
+from thompsonf.deletion_report import DeletionBoundReport
 report = folner.deletion_bound_check(folner.ball(2), folner.ElementSet.of([thompsonf.IDENTITY]))
 report = dataclasses.replace(report, density_after=report.density_after - 9)
-print(code, type(report) is folner.DeletionBoundReport, report.density_after,
+print(code, type(report) is DeletionBoundReport, report.density_after,
       "thompsonf.diagrams" in sys.modules)
 cli.run(["diagram", "x0"])
 print("thompsonf.diagrams" in sys.modules, "thompsonf.rewriting" in sys.modules)
@@ -365,6 +366,30 @@ def test_only_the_diagram_verb_loads_the_diagram_model():
         "[0, 0, 0, 0, 0, 0, 0] [False, False, False] [False, False, False, True, False]\n"
         "1 True -15/2 False\n(..)|..\nTrue False\n"
     )
+
+
+_DIAGRAM_CHILD = """
+import contextlib, io, sys
+from thompsonf import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["diagram", "x0", "--dot", sys.argv[1]])
+print(code, "dataclasses" in sys.modules, "inspect" in sys.modules)
+"""
+
+
+def test_the_diagram_verb_loads_no_dataclasses(tmp_path):
+    # the diagram model's value types are slotted classes, as the
+    # normal-form stack's are
+    src = os.path.dirname(os.path.dirname(thompsonf.__file__))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIAGRAM_CHILD, str(tmp_path / "x0.dot")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False False\n"
+    assert (tmp_path / "x0.dot").read_text(encoding="utf-8").startswith("graph diagram {")
 
 
 # words for the exit-code contract: runs of small or near-cap indices,

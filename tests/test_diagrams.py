@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -94,6 +96,33 @@ class TestDiagramType:
     def test_equality_ignores_canonicality_class(self):
         assert epsilon(1) == Diagram(LEAF, LEAF)
         assert atomic(0, 1) == Diagram(CARET, "..")
+        assert hash(epsilon(1)) == hash(Diagram(LEAF, LEAF))
+
+    def test_forests_must_be_strings(self):
+        for top, bottom in ((1, LEAF), (LEAF, None), (list(CARET), "..")):
+            with pytest.raises(TypeError, match="forests must be strings, got"):
+                Diagram(top, bottom)
+        with pytest.raises(TypeError, match="forests must be strings, got int"):
+            CanonicalDiagram(1, LEAF)
+
+    def test_repr(self):
+        assert repr(atomic(0, 1)) == "CanonicalDiagram(top='(..)', bottom='..')"
+        assert repr(Diagram(LEAF, LEAF)) == "Diagram(top='.', bottom='.')"
+
+    def test_fields_are_read_only(self):
+        # atomic's results are cached, so a stray attribute would be shared
+        for d in (atomic(0, 1), Diagram(LEAF, LEAF)):
+            assert not hasattr(d, "__dict__")
+            for attempt in (lambda: setattr(d, "top", LEAF), lambda: delattr(d, "top"),
+                            lambda: setattr(d, "note", 1)):
+                with pytest.raises(AttributeError):
+                    attempt()
+        assert atomic(0, 1).top == CARET and not hasattr(atomic(0, 1), "note")
+
+    def test_copy_and_pickle_round_trip(self):
+        for d in (atomic(1, -1), Diagram(CARET + LEAF, "...")):
+            for y in [copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))]:
+                assert type(y) is type(d) and y == d and hash(y) == hash(d)
 
 
 class TestSumAndMirror:

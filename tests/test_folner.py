@@ -14,10 +14,10 @@ from conftest import random_normal_form
 from thompsonf import classify, cli, folner
 from thompsonf.classify import (ClassLabel, check_closures, check_partition, class_of,
                                 class_values, right_divisors)
+from thompsonf.deletion_report import DeletionBoundReport
 from thompsonf.folner import (
     DEFAULT_ELEMENT_LIMIT,
     GENERATORS,
-    DeletionBoundReport,
     ElementSet,
     ResourceLimitError,
     SubgraphStats,
@@ -132,15 +132,15 @@ class TestBall:
     def test_radius_guard(self, monkeypatch, no_built_balls):
         monkeypatch.setattr(folner, "_MAX_RADIUS", 3)
         assert len(ball(3)) == 53
-        with pytest.raises(ResourceLimitError) as info:
-            ball(5)
-        assert str(info.value) == (
-            "radius 4 exceeds 3, the largest radius whose elements pack into bytes "
-            "(radius 3 completed)"
-        )
-        # the element limit still speaks first when it is reached first
-        with pytest.raises(ResourceLimitError, match="element limit 10 exceeded at radius 2"):
-            ball(5, limit=10)
+        # refused at the boundary, before any BFS and so before any limit
+        monkeypatch.setattr(folner, "_CayleyBall", None)
+        for limit in (10, 10**11):
+            with pytest.raises(ResourceLimitError) as info:
+                ball(5, limit=limit)
+            assert str(info.value) == (
+                "radius 5 exceeds 3, the largest radius whose elements pack into bytes"
+            )
+        assert folner._BALLS.keys() == {3}
 
     def test_sphere_sizes(self):
         graph = folner._CayleyBall(11, DEFAULT_ELEMENT_LIMIT)
@@ -908,13 +908,13 @@ class TestDeletionBound:
         assert report.density_after == Fraction(6, 4)
         assert report.holds
 
-    def test_report_type_is_reached_through_folner(self):
-        # folner loads the report's module, and with it dataclasses, on demand
-        from thompsonf import deletion_report
-        assert DeletionBoundReport is deletion_report.DeletionBoundReport
-        assert not hasattr(folner, "NoSuchReport")
+    def test_report_type_is_imported_from_deletion_report(self):
+        # deletion_bound_check imports the report's module, and with it
+        # dataclasses, when it runs; folner does not re-export the type
+        deletion_bound_check(ball(1), ElementSet.of([nf("x1")]))
+        assert not hasattr(folner, "DeletionBoundReport")
         with pytest.raises(ImportError):
-            from thompsonf.folner import NoSuchReport  # noqa: F401
+            from thompsonf.folner import DeletionBoundReport  # noqa: F401
 
     def test_plain_arithmetic(self):
         # n = 10, density 3, delete 1: the bound is 3 - 4/10

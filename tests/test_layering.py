@@ -77,6 +77,22 @@ def test_folner_reads_one_private_classify_name():
     assert {name for name in read if name.startswith("_")} == {"_CLOSURE_RULES"}
 
 
+def test_only_the_deletion_report_imports_dataclasses():
+    # the other value types are slotted words._Value classes
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.stem)
+    assert importers == {"deletion_report"}
+
+
 def test_graph_reader_sees_every_import_form(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
