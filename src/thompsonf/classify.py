@@ -78,13 +78,6 @@ class DivisorSet(_Value):
 
     __slots__ = ("x0", "x0_inv", "x1", "x1_inv")
 
-    def __init__(self, x0: bool, x0_inv: bool, x1: bool, x1_inv: bool) -> None:
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x0_inv", x0_inv)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x1_inv", x1_inv)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.flags() not in _CLASS_VALUES:
             raise InvariantViolation(
@@ -92,8 +85,7 @@ class DivisorSet(_Value):
                 f"the seven admissible sets"
             )
 
-    def flags(self) -> tuple[bool, bool, bool, bool]:
-        return (self.x0, self.x0_inv, self.x1, self.x1_inv)
+    flags = _Value._fields  # (X0, X0^-1, X1, X1^-1)
 
     def members(self) -> tuple[str, ...]:
         return tuple(compress(_DIVISOR_NAMES, self.flags()))

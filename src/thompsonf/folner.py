@@ -142,15 +142,11 @@ class _CayleyGraph:
         that `numbers` names."""
         return map(nf_multiply, map(self.elements.__getitem__, numbers), repeat(GENERATORS[k]))
 
-    def labels(self) -> Iterator[str]:
-        """The formatted normal form of every element, in number order."""
-        return starmap(format_halves, self.halves())
-
     def rank(self) -> array:
         """Position of every element in the order of formatted normal forms;
         each element is formatted once."""
         if self._rank is None:
-            keys = list(self.labels())
+            keys = list(starmap(format_halves, self.halves()))
             rank = array("i", [0]) * len(keys)
             for position, u in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
                 rank[u] = position
@@ -366,12 +362,6 @@ class SubgraphStats(_Value):
 
     __slots__ = ("vertex_count", "oriented_edge_count", "density")
 
-    def __init__(self, vertex_count: int, oriented_edge_count: int, density: Fraction) -> None:
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "oriented_edge_count", oriented_edge_count)
-        object.__setattr__(self, "density", density)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if self.vertex_count < 1:
             raise ValueError("vertex count must be positive")
@@ -530,5 +520,5 @@ def density_csv(label: str, stats: SubgraphStats) -> str:
 
 def elements_csv(s: ElementSet) -> str:
     lines = ["element"]  # sorted_members order: the strings are unique
-    lines.extend(sorted(compress(s._graph.labels(), s._mask)))
+    lines.extend(sorted(starmap(format_halves, compress(s._graph.halves(), s._mask))))
     return "\n".join(lines) + "\n"

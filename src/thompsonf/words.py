@@ -57,8 +57,9 @@ class Letter(NamedTuple):
 
 
 class _Value:
-    """Base of the small read-only value types: equality, hash and repr run
-    over the `__slots__` fields, as a frozen dataclass's do."""
+    """Base of the small read-only value types.  Its constructor takes one
+    positional value per `__slots__` field and runs `__post_init__`;
+    equality, hash and repr run over the fields, as a frozen dataclass's do."""
 
     __slots__ = ()
 
@@ -66,11 +67,20 @@ class _Value:
         # a subclass that adds no field, as CanonicalDiagram, keeps its parent's
         cls._names = cls.__slots__ or cls._names
 
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._names):
+            raise TypeError(f"{type(self).__name__} takes {len(self._names)} values, "
+                            f"got {len(values)}")
+        for name, value in zip(self._names, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self._names))
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
+        # CanonicalDiagram == Diagram is NotImplemented here; Python then asks Diagram
+        if not isinstance(other, self.__class__):
             return NotImplemented
         return self._fields() == other._fields()
 
@@ -85,7 +95,7 @@ class _Value:
         return type(self), self._fields()
 
     def __setattr__(self, name: str, value: object = None) -> None:
-        # so each __init__ sets its fields through object.__setattr__
+        # so __init__ sets the fields through object.__setattr__
         raise AttributeError(f"field {name!r} is read-only")
 
     __delattr__ = __setattr__
@@ -97,8 +107,7 @@ class Word(_Value):
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[Letter, ...] = ()) -> None:
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
+        super().__init__(letters)
 
     def __post_init__(self) -> None:
         if type(self.letters) is not tuple:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -62,6 +64,21 @@ class TestDivisorSet:
         assert repr(DivisorSet(False, True, False, False)) == (
             "DivisorSet(x0=False, x0_inv=True, x1=False, x1_inv=False)"
         )
+
+    def test_flags_are_the_fields_in_order(self):
+        # (X0, X0^-1, X1, X1^-1)
+        assert DivisorSet(False, True, True, False).flags() == (False, True, True, False)
+        assert right_divisors(nf("x0")).flags() == (True, False, False, False)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_takes_exactly_four_values(self, count):
+        with pytest.raises(TypeError, match=f"DivisorSet takes 4 values, got {count}"):
+            DivisorSet(*[False] * count)
+
+    def test_copy_and_pickle_round_trip(self):
+        d = DivisorSet(False, True, False, True)
+        for y in [copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))]:
+            assert type(y) is DivisorSet and y == d and hash(y) == hash(d)
 
     def test_fields_are_read_only(self):
         d = DivisorSet(False, False, False, False)

@@ -98,6 +98,18 @@ class TestDiagramType:
         assert atomic(0, 1) == Diagram(CARET, "..")
         assert hash(epsilon(1)) == hash(Diagram(LEAF, LEAF))
 
+    def test_same_forests_equal_across_the_two_classes(self):
+        for top, bottom in ((CARET, ".."), (LEAF, LEAF), ("(.(..))", "((..).)")):
+            d, c = Diagram(top, bottom), CanonicalDiagram(top, bottom)
+            assert d == c and c == d and not d != c and hash(d) == hash(c)
+        assert Diagram(CARET, "..") != CanonicalDiagram("..", CARET)
+
+    @pytest.mark.parametrize("cls", [Diagram, CanonicalDiagram])
+    @pytest.mark.parametrize("forests", [(LEAF,), (LEAF, LEAF, LEAF)])
+    def test_takes_exactly_two_forests(self, cls, forests):
+        with pytest.raises(TypeError, match=f"{cls.__name__} takes 2 values, got {len(forests)}"):
+            cls(*forests)
+
     def test_forests_must_be_strings(self):
         for top, bottom in ((1, LEAF), (LEAF, None), (list(CARET), "..")):
             with pytest.raises(TypeError, match="forests must be strings, got"):

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import operator
+import pickle
 import random
 import tracemalloc
 from array import array
@@ -214,6 +216,16 @@ class TestDensity:
         with pytest.raises(AttributeError):
             del a.vertex_count
         assert a.density == Fraction(8, 5)
+
+    @pytest.mark.parametrize("values", [(5, 8), (5, 8, Fraction(8, 5), None)])
+    def test_stats_take_exactly_three_values(self, values):
+        with pytest.raises(TypeError, match=f"SubgraphStats takes 3 values, got {len(values)}"):
+            SubgraphStats(*values)
+
+    def test_stats_copy_and_pickle_round_trip(self):
+        a = SubgraphStats(5, 8, Fraction(8, 5))
+        for y in [copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]:
+            assert type(y) is SubgraphStats and y == a and hash(y) == hash(a)
 
     def test_stats_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -996,6 +1008,17 @@ class TestOutputFormats:
     def test_elements_csv_golden(self):
         csv = elements_csv(ball(1))
         assert csv == "element\ne\nx0\nx0^-1\nx1\nx1^-1\n"
+
+    def test_elements_csv_formats_only_the_members(self, monkeypatch):
+        calls = []
+        format_halves = folner.format_halves
+        monkeypatch.setattr(folner, "format_halves",
+                            lambda *halves: calls.append(halves) or format_halves(*halves))
+        s = ball(6)
+        m6 = drop_classes(s, [label for label in ClassLabel if label is not ClassLabel.M6])
+        text = elements_csv(m6)
+        assert len(calls) == len(m6) == 201 < len(s)
+        assert text.splitlines()[1:] == sorted(map(str, m6))
 
     def test_elements_csv_digest_on_ball_eight(self):
         csv = elements_csv(ball(8))

@@ -93,6 +93,38 @@ def test_only_the_deletion_report_imports_dataclasses():
     assert importers == {"deletion_report"}
 
 
+def test_only_words_sets_fields_through_object_setattr():
+    # _Value.__init__ is the one constructor of the read-only value types
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                callers.add(path.stem)
+    assert callers == {"words"}
+
+
+def test_only_value_defines_equality_and_hash():
+    # the value types compare and hash by their fields, in words._Value alone
+    bases, defined = {}, {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                names.update(target.id for item in node.body if isinstance(item, ast.Assign)
+                             for target in item.targets if isinstance(target, ast.Name))
+                defined[node.name] = names & {"__eq__", "__hash__"}
+    values = {"_Value"}
+    while grown := {name for name, b in bases.items() if b & values} - values:
+        values |= grown
+    assert values == {"_Value", "Word", "DivisorSet", "SubgraphStats", "Diagram",
+                      "CanonicalDiagram"}
+    assert {name: defined[name] for name in values if defined[name]} == {
+        "_Value": {"__eq__", "__hash__"}
+    }
+
+
 def test_graph_reader_sees_every_import_form(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_normal_form, random_word, small_normal_forms
-from thompsonf.classify import check_closures, class_of, class_values
+from thompsonf.classify import DivisorSet, check_closures, class_of, class_values
 from thompsonf.diagrams import diagram_to_nf, nf_to_diagram
 from thompsonf.folner import ball, translate_set
 from thompsonf.rewriting import reduce_word_by_rewriting
@@ -189,6 +189,7 @@ class TestWordValue:
 
     @pytest.mark.parametrize("other", [
         (Letter(0, 1), Letter(1, -1)), "x0 x1^-1", NormalForm((0,), (1,)), None,
+        DivisorSet(False, False, False, False),
     ])
     def test_never_equals_another_type(self, other):
         w = parse_word("x0 x1^-1")
@@ -212,6 +213,11 @@ class TestWordValue:
         w = parse_word("x0 x1^-2")
         for y in [copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))]:
             assert type(y) is Word and y == w and hash(y) == hash(w)
+
+    def test_takes_at_most_one_value(self):
+        # no value is the empty word; two are a TypeError
+        with pytest.raises(TypeError):
+            Word((), ())
 
 
 class TestTupleRepresentation:
