@@ -133,9 +133,10 @@ class _CayleyGraph:
             self._number = {v: u for u, v in enumerate(self.elements)}
         return self._number
 
-    def halves(self) -> Iterable[tuple]:
-        """The (pos, neg) halves of every element, in number order."""
-        return self.elements
+    def halves(self, mask: bytes | None = None) -> Iterable[tuple]:
+        """The (pos, neg) halves of every element, or of those `mask`
+        selects, in number order."""
+        return self.elements if mask is None else compress(self.elements, mask)
 
     def products(self, numbers: Iterable[int], k: int) -> Iterator[tuple]:
         """The (pos, neg) halves of v * GENERATORS[k] for each element v
@@ -223,8 +224,8 @@ class _CayleyBall(_CayleyGraph):
             self._elements = list(map(unpack, self.keys))
         return self._elements
 
-    def halves(self) -> Iterator[tuple[bytes, bytes]]:
-        return map(key_halves, self.keys)
+    def halves(self, mask: bytes | None = None) -> Iterator[tuple[bytes, bytes]]:
+        return map(key_halves, self.keys if mask is None else compress(self.keys, mask))
 
     def products(self, numbers: Iterable[int], k: int) -> Iterator[tuple[bytes, bytes]]:
         # one packed letter step each; every product packs (_MAX_RADIUS)
@@ -520,5 +521,5 @@ def density_csv(label: str, stats: SubgraphStats) -> str:
 
 def elements_csv(s: ElementSet) -> str:
     lines = ["element"]  # sorted_members order: the strings are unique
-    lines.extend(sorted(starmap(format_halves, compress(s._graph.halves(), s._mask))))
+    lines.extend(sorted(starmap(format_halves, s._graph.halves(s._mask))))
     return "\n".join(lines) + "\n"

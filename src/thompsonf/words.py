@@ -27,7 +27,9 @@ together with a shift rule: a factor x_i w x_i^-1 in which every letter
 of w has index >= i+2 rewrites to w with all indices decremented by one.
 The system is confluent (certified by tests), so the rewriting order does
 not matter.  `reduce_to_normal_form` folds a word's letters into a normal
-form one at a time, on vectors that count each index in either half.
+form one at a time, on vectors that count each index in either half, and
+`nf_multiply` folds a long right factor's letters onto the left factor
+the same way.
 The literal rules, applied one redex at a time, are the test oracle in
 `thompsonf.rewriting`, which no CLI verb loads.
 """
@@ -36,9 +38,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import compress, groupby
+from itertools import compress, groupby, repeat
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -228,11 +230,15 @@ IDENTITY = NormalForm()
 # [0-9], not \d: \d matches every script's digits, and int() reads them all
 _TOKEN_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?\Z")
 
-# Longest word parse_word expands.  Reduction is still quadratic in the
+# Longest word parse_word expands.  Reduction, and the product by a right
+# factor of more than _SHORT_FACTOR letters, are still quadratic in the
 # worst case, though in C: each letter may move the count vectors' tail
 # (list inserts and deletes).  On a shared 2-CPU box with Python 3.11, in
 # process, x0^100000 reduces in 0.07 s and x0^-100000 x1^100000 in 0.4 s,
 # but x_{n-1} ... x1 x0 takes 0.11 s at n = 10,000 and 0.9 s at n = 30,000.
+# The product of the forms of two 10,000-letter random words over x0..x12
+# (about 4,000 letters each) takes 0.03-0.11 s, against 0.39-0.54 s on
+# the tuple steps alone.
 MAX_WORD_LETTERS = 10_000
 # Largest generator index parse_word accepts; a diagram of x_n has forests
 # n + 2 leaves wide, so the cap also bounds what `diagram` prints.
@@ -308,9 +314,10 @@ def format_halves(pos: tuple | bytes, neg: tuple | bytes) -> str:
 # the docstrings below prove.  So results return through `_trusted`: only
 # the public constructors check, where forms enter, and the tests re-check
 # results.  A pair is an index in both halves, and its witness is the next
-# index, in either half.  The tuple steps run in `nf_multiply`, so they stay
-# lean.  `reduce_to_normal_form` takes the same steps on count vectors, and
-# the BFS on packed keys (`GENERATOR_STEPS`); in both, shifting every index
+# index, in either half.  The tuple steps run in `nf_multiply` for short
+# right factors, so they stay lean.  `_fold` takes the same steps on count
+# vectors, for `reduce_to_normal_form` and for long right factors, and the
+# BFS on packed keys (`GENERATOR_STEPS`); in both, shifting every index
 # above the landing point is one C-level operation instead of a rebuilt
 # suffix.
 
@@ -448,8 +455,9 @@ def _key_steps(g: int) -> tuple:
 GENERATOR_STEPS = (*_key_steps(0), *_key_steps(1))
 
 
-# A word folds on count vectors when its index spread is at most this many
-# times its letter count n, so the vectors hold at most 3n + 2 entries.
+# Letters fold on count vectors when the index spread of the seed form and
+# the letters together is at most this many times the letter count n, so
+# the vectors hold at most 3n + 2 entries beyond the seed form's length.
 # A landing sums the vector over the index range it passes, which costs
 # O(spread) per letter, against O(form) for the tuple steps.  With Python
 # 3.11 on one CPU of a shared 2-CPU box, on random words of 16 to 256
@@ -461,18 +469,43 @@ _SPREAD_PER_LETTER = 2
 # found by memchr on a byte mask; plain sums cost about 12 ns an entry, the
 # narrowing about 0.5 us, so it wins on sparse ranges from about 40 entries.
 _NARROW = 32
+# nf_multiply folds a right factor of more than this many letters by
+# `_fold`, a shorter one by the tuple steps.  The fold costs a few us more
+# to set up (the letter list, the spread, seeding the vectors) and less a
+# letter, as the tuple steps rebuild both halves of the growing form.  With
+# Python 3.11.7 on one pinned CPU of a shared 2-CPU box, best of 7 over 40
+# random forms from words over x0..x12, us per product, tuple / fold:
+#
+#     |b|   |a| = 8    |a| = 20   |a| = 40   |a| = 80    |a| = 150
+#      8     10 / 15    11 / 15    16 / 19    22 / 25     35 / 39
+#     16     20 / 21    24 / 24    30 / 36    44 / 50     67 / 72
+#     20     24 / 25    30 / 28    38 / 36    52 / 56     78 / 83
+#     24     31 / 29    36 / 33    46 / 41    65 / 72     98 / 104
+#     32     39 / 34    47 / 38    61 / 46    90 / 77    141 / 150
+#     47     63 / 52    76 / 56    95 / 69   132 / 90    205 / 195
+#
+# So the fold wins from about 20 letters for left forms up to 40 letters,
+# from about 30 at 80 and about 45 at 150; at 150 x 150 letters (the
+# oracle's long jobs) it takes half the tuple steps' time.
+_SHORT_FACTOR = 20
 
 
 def reduce_to_normal_form(w: Word) -> NormalForm:
-    """Reduce an arbitrary word to the unique normal form of its element.
+    """Reduce an arbitrary word to the unique normal form of its element:
+    its letters folded onto the identity by `_fold`."""
+    return _fold((), (), w.letters) if w.letters else IDENTITY
 
-    The letters are folded from the left, each by the step of
-    `_times_positive` or `_times_negative`, on two count vectors: cp[p] and
-    cn[p] count the copies of x_{b+p} in pos and in neg, where b is the
-    smallest index in the word.  Every relation and the shift rule commute
-    with x_i -> x_{i+c}, and no step makes an index smaller than the
-    smallest one in its input, so folding with all indices lowered by b and
-    raising the result by b gives the same form.
+
+def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalForm:
+    """The normal form (pos, neg) times the non-empty `letters`, (index,
+    sign) pairs folded from the left, each by the step of `_times_positive`
+    or `_times_negative`, on two count vectors: cp[p] and cn[p] count the
+    copies of x_{b+p} in pos and in neg, where b is the smallest index in
+    the form and the letters.  A non-empty form seeds the vectors.  Every
+    relation and the shift rule commute with x_i -> x_{i+c}, and no step
+    makes an index smaller than the smallest one in its input, so folding
+    with all indices lowered by b and raising the result by b gives the
+    same form.
 
     Landing: g' is the least t >= g with t = g + #{neg entries < t}, the
     k of `_landing` being the count of neg entries below g'.  Starting from
@@ -486,23 +519,30 @@ def reduce_to_normal_form(w: Word) -> NormalForm:
     entry is always 0, so an insert or delete at the last position, which
     would only move zeros, is skipped.
 
-    A word whose index spread exceeds _SPREAD_PER_LETTER times its length
-    folds on the tuple steps instead: the vectors span at most the spread
-    plus the length plus 2 entries, so x0 x1000000000 allocates no billion.
+    When the index spread of the form and the letters together exceeds
+    _SPREAD_PER_LETTER times the number n of letters, the letters fold on
+    the tuple steps instead.  Folded on the vectors, no index exceeds the
+    largest one by more than the form's length plus n, so the vectors hold
+    at most 3n + 2 entries beyond the form's length, and x0 x1000000000
+    allocates no billion.
     """
-    letters = w.letters
-    if not letters:
-        return IDENTITY
-    base = min(letters)[0]
-    if max(letters)[0] - base > _SPREAD_PER_LETTER * len(letters):
-        pos: tuple = ()
-        neg: tuple = ()
+    base, top = min(letters)[0], max(letters)[0]
+    size = 0  # the identity seeds empty vectors
+    if pos or neg:
+        base = min(base, *pos[:1], *neg[:1])
+        top = max(top, *pos[-1:], *neg[-1:])
+        size = top - base + 2
+    if top - base > _SPREAD_PER_LETTER * len(letters):
         for index, sign in letters:
             pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
         return _trusted(pos, neg)
-    cp: list = []
-    cn: list = []
-    occupied = bytearray()  # occupied[p] == 1 iff cn[p] > 0
+    cp, cn = [0] * size, [0] * size
+    occupied = bytearray(size)  # occupied[p] == 1 iff cn[p] > 0
+    for i in pos:
+        cp[i - base] += 1
+    for j in neg:
+        cn[j - base] += 1
+        occupied[j - base] = 1
     for index, sign in letters:
         lo = 0
         g = index - base
@@ -553,11 +593,17 @@ def _indices(counts: list, base: int) -> tuple:
 
 
 def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
-    """Normal form of the product ab."""
-    pos, neg = a.pos, a.neg
-    for i in b.pos:
+    """Normal form of the product ab: b's letters, x_i for each i of b.pos
+    and then x_j^-1 for each j of b.neg from the last, folded onto a.  A b
+    of more than _SHORT_FACTOR letters folds by `_fold`, a shorter one
+    (every one-letter product) by the tuple steps."""
+    pos, neg = a
+    b_pos, b_neg = b
+    if len(b_pos) + len(b_neg) > _SHORT_FACTOR:
+        return _fold(pos, neg, [*zip(b_pos, repeat(1)), *zip(reversed(b_neg), repeat(-1))])
+    for i in b_pos:
         pos, neg = _times_positive(pos, neg, i)
-    for j in reversed(b.neg):
+    for j in reversed(b_neg):
         pos, neg = _times_negative(pos, neg, j)
     return _trusted(pos, neg)
 

@@ -1020,6 +1020,17 @@ class TestOutputFormats:
         assert len(calls) == len(m6) == 201 < len(s)
         assert text.splitlines()[1:] == sorted(map(str, m6))
 
+    def test_elements_csv_splits_only_the_members_keys(self, monkeypatch):
+        s = ball(6)
+        m6 = drop_classes(s, [label for label in ClassLabel if label is not ClassLabel.M6])
+        calls = []
+        key_halves = folner.key_halves
+        monkeypatch.setattr(folner, "key_halves",
+                            lambda key: calls.append(key) or key_halves(key))
+        text = elements_csv(m6)
+        assert len(calls) == len(m6) == 201 < len(s)
+        assert text.splitlines()[1:] == sorted(map(str, m6))
+
     def test_elements_csv_digest_on_ball_eight(self):
         csv = elements_csv(ball(8))
         assert csv.count("\n") == 1 + len(ball(8))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import random_normal_form, random_word, small_normal_forms
 from thompsonf.classify import DivisorSet, check_closures, class_of, class_values
-from thompsonf.diagrams import diagram_to_nf, nf_to_diagram
+from thompsonf import words
+from thompsonf.diagrams import concat_product, diagram_to_nf, nf_to_diagram
 from thompsonf.folner import ball, translate_set
 from thompsonf.rewriting import reduce_word_by_rewriting
 from thompsonf.words import (
@@ -20,6 +21,7 @@ from thompsonf.words import (
     Letter,
     PACKED_MAX,
     NormalForm,
+    _SHORT_FACTOR,
     ParseError,
     Word,
     _LOWER,
@@ -45,18 +47,18 @@ def nf(text):
 
 
 @st.composite
-def banded_words(draw):
-    """Words of up to 60 letters from far-apart index bands: a word
+def banded_words(draw, most=60):
+    """Words of up to `most` letters from far-apart index bands: a word
     within one band folds on count vectors offset by its smallest index,
     a word mixing bands is too sparse for them and folds on the tuple
     steps, and runs of one letter make landings pass ranges long enough
     to be narrowed."""
     bands = draw(st.lists(st.sampled_from((0, 300, 600, 10**9)), min_size=1, max_size=3))
     runs = draw(st.lists(st.tuples(st.sampled_from(bands), st.integers(0, 12),
-                                   st.integers(-12, 12).filter(bool)), max_size=60))
+                                   st.integers(-12, 12).filter(bool)), max_size=most))
     return Word(tuple(
         Letter(band + i, 1 if e > 0 else -1) for band, i, e in runs for _ in range(abs(e))
-    )[:60])
+    )[:most])
 
 
 class TestParse:
@@ -460,6 +462,120 @@ class TestArithmetic:
             a = random_normal_form(rng, max_len=16)
             assert nf_multiply(a, nf_invert(a)) == IDENTITY
             assert nf_multiply(nf_invert(a), a) == IDENTITY
+
+    def test_associativity_random_long_factors(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            a, b, c = (random_normal_form(rng, max_len=120, max_index=12) for _ in range(3))
+            assert nf_multiply(nf_multiply(a, b), c) == nf_multiply(a, nf_multiply(b, c))
+
+    def test_inverse_random_long_factors(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            a = random_normal_form(rng, max_len=300, max_index=12)
+            assert nf_multiply(a, nf_invert(a)) == IDENTITY
+            assert nf_multiply(nf_invert(a), a) == IDENTITY
+
+
+class TestLongRightFactors:
+    """A right factor of more than _SHORT_FACTOR letters folds onto the left
+    factor on count vectors (`words._fold`); a shorter one takes the tuple
+    steps.  Both must give the product the tuple steps give."""
+
+    @staticmethod
+    def tuple_product(a, b):
+        pos, neg = a
+        for i in b.pos:
+            pos, neg = _times_positive(pos, neg, i)
+        for j in reversed(b.neg):
+            pos, neg = _times_negative(pos, neg, j)
+        return pos, neg
+
+    @settings(deadline=None, max_examples=400)
+    @given(banded_words(), banded_words(most=120))
+    # a long right factor of runs of low indices, folded on the vectors
+    @example(parse_word("x0^-30 x5 x1^-4"), parse_word("x0^40 x2^-3 x1^-9"))
+    # a long right factor too sparse for the vectors: the tuple fallback
+    @example(Word((Letter(0, 1), Letter(10**9, 1))),
+             Word((Letter(3, 1),) * 25 + (Letter(10**9, -1),)))
+    # a right factor of exactly _SHORT_FACTOR letters, and one more
+    @example(parse_word("x2 x1"), parse_word(f"x0^{_SHORT_FACTOR}"))
+    @example(parse_word("x2 x1"), parse_word(f"x0^{_SHORT_FACTOR + 1}"))
+    def test_products_match_the_tuple_steps(self, u, w):
+        a, b = reduce_to_normal_form(u), reduce_to_normal_form(w)
+        product = nf_multiply(a, b)
+        assert product == self.tuple_product(a, b)
+        assert NormalForm(*product) == product
+
+    def test_oracle_shaped_products_agree_with_diagrams(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            a, b = (reduce_to_normal_form(Word(tuple(
+                Letter(rng.randint(0, 12), rng.choice((1, -1))) for _ in range(320)
+            ))) for _ in range(2))
+            assert len(b.pos) + len(b.neg) > _SHORT_FACTOR
+            product = diagram_to_nf(concat_product(nf_to_diagram(a), nf_to_diagram(b)))
+            assert nf_multiply(a, b) == product
+
+    # sha256 of str(nf_multiply(nf(left), nf(right))), recorded from the
+    # tuple steps alone: long factors that are deep, wide or cancel
+    PRODUCT_DIGESTS = {
+        ("x0^5000 x1^-5000", "x0^-5000 x1^5000"):
+            "0eb5d997f8014718620850753fb87e1c4f0fcc2fe41e83c8d9a52a2119f18265",
+        ("x0^-5000 x1^5000", "x0^5000 x1^-5000"):
+            "ca2799cf22b6077b1865d1b95bf595be24e3a78dceefbdd07778db916f5a163d",
+        (" ".join(f"x{i}" for i in reversed(range(2000))), "x0^2000"):
+            "df44ad164e9158c4c339f50e380ff6decf103e320f86940d502fb86bbd2a5f41",
+    }
+
+    @pytest.mark.parametrize("left, right", PRODUCT_DIGESTS,
+                             ids=lambda text: text[:24])
+    def test_long_products_are_pinned(self, left, right):
+        out = str(nf_multiply(nf(left), nf(right)))
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PRODUCT_DIGESTS[left, right]
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        calls = []
+        fold = words._fold
+        monkeypatch.setattr(words, "_fold", lambda *args: calls.append(1) or fold(*args))
+        return calls
+
+    def test_short_factors_never_fold(self, folds):
+        a, b = nf("x3 x1^-2"), nf(f"x0^{_SHORT_FACTOR - 2} x2^-1 x1^-1")
+        s = ball(5)
+        folds.clear()
+        for v in s:
+            for g in GENERATORS:
+                nf_multiply(v, g)
+        translate_set(s, GENERATORS[2])
+        nf_multiply(a, b)
+        assert folds == []
+
+    def test_each_long_factor_folds_once(self, folds):
+        rng = random.Random(37)
+        forms = [random_normal_form(rng, max_len=120, max_index=12) for _ in range(50)]
+        long = [b for b in forms if len(b.pos) + len(b.neg) > _SHORT_FACTOR]
+        assert len(long) >= 20
+        folds.clear()
+        for a, b in zip(forms, long):
+            nf_multiply(a, b)
+        assert len(folds) == len(long)
+
+    def test_sparse_long_factor_multiplies_in_bounded_memory(self):
+        # 200 letters with indices up to 10**9: the tuple fallback
+        step = 10**7
+        f = NormalForm(tuple(range(step, 101 * step, step)),
+                       tuple(range(step + 1, 101 * step + 1, step)))
+        x0 = GENERATORS[0]
+        tracemalloc.start()
+        try:
+            product = nf_multiply(x0, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert product == self.tuple_product(x0, f)
 
 
 class TestStandardAlphabet:
