@@ -18,11 +18,19 @@ and x1 edges read from the other end: for v, w in the set, v*g^-1 = w
 exactly when w*g = v.  So a density counts the x0 and x1 edges inside
 the set and doubles the count; that needs only that every column entry
 inside the graph is the exact product, which the BFS and the spanned
-graph both guarantee.  Sort ranks and classes (one byte per element,
-the value of its `class_of` label, read off the (pos, neg) halves of
-each element with no product) are derived once per graph, on first
-use.  Densities, histograms, deletion checks and sort orders read
-columns, class bytes and masks; none multiplies normal forms.  The check
+graph both guarantee.  The sort order and the classes (one byte per
+element, the value of its `class_of` label, read off the (pos, neg)
+halves of each element with no product) are derived once per graph, on
+first use.  The sort order is kept as each element's rank, as the
+numbers in that order and as the elements in that order; the number
+dict shares the numbers' int objects.  A set that holds at least
+1/_GATHER_SHARE (1/40) of its graph is sorted by one
+`operator.itemgetter` call over its mask and one `compress`, and a
+smaller set sorts its members by rank.  A density keeps nothing per
+graph: one itemgetter call, made for the set, reads the mask bytes at
+each column's entries under the mask, so densities never derive the
+sort order.  Densities, histograms, deletion checks and sort orders
+read columns, class bytes and masks; none multiplies normal forms.  The check
 passes read them too and only decide; the closure pass makes just the
 products no column holds (those that leave the graph, and those by x0^-1
 and x1^-1), and a failing check's lines come from its `classify` oracle.
@@ -70,7 +78,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from itertools import chain, compress, repeat, starmap
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator
 
 from . import classify
@@ -109,7 +117,7 @@ class _CayleyGraph:
     """Numbered elements and their x0 and x1 neighbour columns, in that
     order; every entry is the exact product or -1 (module docstring)."""
 
-    __slots__ = ("_elements", "_number", "columns", "_rank", "_classes")
+    __slots__ = ("_elements", "_number", "columns", "_rank", "_order", "_classes")
 
     def __init__(self, elements: list[NormalForm] | None,
                  number: dict[NormalForm, int] | None, columns: tuple[array, ...]) -> None:
@@ -117,6 +125,7 @@ class _CayleyGraph:
         self._number = number
         self.columns = columns
         self._rank: array | None = None
+        self._order: tuple[tuple[int, ...], list[NormalForm]] | None = None
         self._classes: bytes | None = None
 
     def __len__(self) -> int:
@@ -128,9 +137,15 @@ class _CayleyGraph:
 
     @property
     def number(self) -> dict[NormalForm, int]:
-        """Normal form to number, derived on first use."""
+        """Normal form to number, derived on first use.  The dict and the
+        sort order share their int objects, whichever is built first, rather
+        than hold two per element (ball(10): 2.8 MB)."""
         if self._number is None:
-            self._number = {v: u for u, v in enumerate(self.elements)}
+            if self._order is None:
+                self._number = {v: u for u, v in enumerate(self.elements)}
+            else:
+                order, in_order = self._order
+                self._number = dict(zip(in_order, order))
         return self._number
 
     def halves(self, mask: bytes | None = None) -> Iterable[tuple]:
@@ -145,12 +160,19 @@ class _CayleyGraph:
 
     def rank(self) -> array:
         """Position of every element in the order of formatted normal forms;
-        each element is formatted once."""
+        each element is formatted once.  The order itself is kept as
+        `_order`: the numbers in that order and the elements in that order."""
         if self._rank is None:
             keys = list(starmap(format_halves, self.halves()))
-            rank = array("i", [0]) * len(keys)
-            for position, u in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+            # a dict built before the order holds the numbers in number order
+            numbers = range(len(keys)) if self._number is None else self._number.values()
+            order = sorted(numbers, key=keys.__getitem__)
+            del keys
+            rank = array("i", [0]) * len(order)
+            for position, u in enumerate(order):
                 rank[u] = position
+            # two reads of the trailing 0 byte: a tuple however few the elements
+            self._order = (*order, -1, -1), list(map(self.elements.__getitem__, order))
             self._rank = rank
         return self._rank
 
@@ -166,10 +188,10 @@ class _CayleyGraph:
 
 def _spanned_graph(items: list[NormalForm]) -> tuple[_CayleyGraph, bytes]:
     """The graph `items` span (two products per element) and its full mask."""
-    elements = list(dict.fromkeys(items))
-    for v in elements:
+    for v in items:  # before the dedup, which takes a tuple equal to one as a repeat
         if not isinstance(v, NormalForm):
             raise TypeError(f"elements must be NormalForms, got {type(v).__name__}")
+    elements = list(dict.fromkeys(items))
     number = {v: u for u, v in enumerate(elements)}
     columns = tuple(array("i", [number.get(nf_multiply(v, g), -1) for v in elements])
                     for g in GENERATORS[::2])
@@ -233,6 +255,13 @@ class _CayleyBall(_CayleyGraph):
         return map(key_halves, map(step, map(self.keys.__getitem__, numbers)))
 
 
+# `sorted_members` gathers a set's mask in sorted order, which costs the
+# graph, when the set holds at least 1/_GATHER_SHARE of it; a smaller set
+# sorts its members, which also scans the graph's mask once but then costs
+# about 0.25 us a member.  The two cross at 32-44 graph elements a member
+# on both ball(6) (1,381 elements) and ball(10) (88,253).
+_GATHER_SHARE = 40
+
 # every ball built in this process, by radius (module docstring)
 _BALLS: dict[int, _CayleyBall] = {}
 
@@ -245,6 +274,8 @@ def _ball_mask(items: list[NormalForm]) -> tuple[_CayleyBall, bytes] | None:
         number = graph.number
         mask = bytearray(len(graph) + 1)
         for v in items:
+            if not isinstance(v, NormalForm):  # a tuple equal to one would match
+                raise TypeError(f"elements must be NormalForms, got {type(v).__name__}")
             u = number.get(v)
             if u is None:
                 break
@@ -352,8 +383,18 @@ class ElementSet:
 
     def sorted_members(self) -> list[NormalForm]:
         """Members ordered by formatted normal form; the order every
-        output format uses."""
-        elements, rank = self._graph.elements, self._graph.rank()
+        output format uses.  A set that holds at least 1/_GATHER_SHARE of
+        its graph reads its mask in the graph's sorted order, in one
+        itemgetter call, and compresses the sorted elements by it: no
+        Python call per member, but a cost in the graph's size.  A smaller
+        set sorts its members by rank."""
+        graph = self._graph
+        rank = graph.rank()
+        if self._size * _GATHER_SHARE >= len(graph):
+            order, in_order = graph._order
+            # an itemgetter keeps the tuple it is given: made in O(1)
+            return list(compress(in_order, itemgetter(*order)(self._mask)))
+        elements = graph.elements
         numbers = compress(range(len(elements)), self._mask)
         return [elements[u] for u in sorted(numbers, key=rank.__getitem__)]
 
@@ -397,11 +438,15 @@ def subgraph_density(s: ElementSet) -> SubgraphStats:
     """Density of the subgraph spanned by s: each vertex contributes one
     oriented edge per generator image that stays inside s.  The x_g^-1
     edges inside s are in bijection with its x_g edges (v*g^-1 = w exactly
-    when w*g = v), so the x0 and x1 edges are counted and doubled."""
+    when w*g = v), so the x0 and x1 edges are counted and doubled.  Each
+    column's count is the sum of the mask bytes at the members' entries,
+    read by one itemgetter made for s; a getter kept per graph and column
+    would hold about 36 bytes an element for the life of the process."""
     if not len(s):
         raise ValueError("density of the empty set is undefined")
     mask = s._mask  # mask[-1] is the trailing 0, read for a -1 entry
-    edges = 2 * sum(sum(map(mask.__getitem__, compress(column, mask)))
+    # one itemgetter call reads the members' targets; the two -1 make it a tuple
+    edges = 2 * sum(sum(itemgetter(-1, -1, *compress(column, mask))(mask))
                     for column in s._graph.columns)
     return SubgraphStats(len(s), edges, Fraction(edges, len(s)))
 

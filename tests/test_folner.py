@@ -454,6 +454,8 @@ class TestCayleyBall:
         m6 = drop_classes(s, [label for label in ClassLabel if label is not ClassLabel.M6])
         assert subgraph_density(m6).density == Fraction(4516, 5419)
         assert s._graph._elements is None and s._graph._number is None
+        # densities, histograms and drops read no sort order
+        assert s._graph._rank is None and s._graph._order is None
         small = ball(6)
         text = elements_csv(small)
         assert small._graph._elements is None
@@ -587,6 +589,17 @@ class TestSpannedGraph:
             ElementSet.of(items)
         assert str(info.value) == f"elements must be NormalForms, got {name}"
 
+    @pytest.mark.parametrize("warm", [False, True], ids=["no ball", "ball(2)"])
+    def test_a_tuple_equal_to_a_ball_element_is_refused(self, warm, no_built_balls):
+        # ((0,), ()) equals x0, and so hashes to x0's number in ball(2)
+        if warm:
+            ball(2)
+        with pytest.raises(TypeError) as info:
+            ElementSet.of([((0,), ())])
+        assert str(info.value) == "elements must be NormalForms, got tuple"
+        with pytest.raises(TypeError):
+            ElementSet.of([nf("x0"), ((0,), ())])
+
     def test_membership(self):
         rng = random.Random(173)
         inside = ElementSet.of(rng.sample(ball(4).sorted_members(), 50))
@@ -615,6 +628,87 @@ class TestSpannedGraph:
             for column, g in zip(graph.columns, GENERATORS[0::2]):
                 for u, v in enumerate(graph.elements):
                     assert column[u] == graph.number.get(nf_multiply(v, g), -1)
+
+
+def sizes_around_the_gather_rule(graph_size):
+    """0, 1, the sizes just below, at and just above the smallest that
+    `sorted_members` gathers, and the whole graph, as far as they fit."""
+    edge = -(-graph_size // folner._GATHER_SHARE)
+    return sorted({0, 1, edge - 1, edge, edge + 1, graph_size} & set(range(graph_size + 1)))
+
+
+class TestSortedMembers:
+    """Both paths of `sorted_members`, the sort by rank below the size rule
+    and the gather in the graph's sorted order at or above it, against
+    sorting the members by their strings."""
+
+    @staticmethod
+    def assert_sorted_by_the_rule(s, monkeypatch):
+        expected = sorted(s.members, key=str)
+        gathers = []
+
+        def getter(*numbers):
+            gathers.append(numbers)
+            return operator.itemgetter(*numbers)
+
+        monkeypatch.setattr(folner, "itemgetter", getter)
+        assert s.sorted_members() == expected
+        monkeypatch.undo()
+        assert len(gathers) == (len(s) * folner._GATHER_SHARE >= len(s._graph))
+        return bool(gathers)
+
+    @pytest.mark.parametrize("radius", [0, 6])
+    def test_ball_subsets(self, radius, no_built_balls, monkeypatch):
+        full = ball(radius)
+        pool = list(full)
+        rng = random.Random(181 + radius)
+        gathered = {}
+        for size in sizes_around_the_gather_rule(len(pool)):
+            s = ElementSet.of(rng.sample(pool, size))
+            assert s._graph is full._graph and len(s) == size
+            gathered[size] = self.assert_sorted_by_the_rule(s, monkeypatch)
+        assert set(gathered.values()) == {False, True}
+        if radius:  # one member of ball(6) is sorted, the whole ball gathered
+            assert not gathered[1] and gathered[len(pool)]
+
+    def test_spanned_graph_subsets(self, no_built_balls, monkeypatch):
+        full = translate_set(ball(4), nf("x0^40"))
+        pool = full.sorted_members()
+        assert not isinstance(full._graph, folner._CayleyBall) and len(pool) == 161
+        rng = random.Random(191)
+        paths = set()
+        for size in sizes_around_the_gather_rule(len(pool)):
+            # `&` keeps the left operand's graph
+            s = full & ElementSet.of(rng.sample(pool, size))
+            assert s._graph is full._graph and len(s) == size
+            paths.add(self.assert_sorted_by_the_rule(s, monkeypatch))
+        assert paths == {False, True}
+
+    def test_empty_graph(self, no_built_balls, monkeypatch):
+        s = ElementSet.of([])
+        assert len(s._graph) == 0
+        # the empty graph holds no element, so the empty set gathers
+        assert self.assert_sorted_by_the_rule(s, monkeypatch)
+        assert s.sorted_members() == []
+
+    @pytest.mark.parametrize("number_first", [False, True], ids=["order first", "number first"])
+    def test_number_and_order_share_their_ints(self, number_first):
+        graph = folner._CayleyBall(6, DEFAULT_ELEMENT_LIMIT)
+        if number_first:
+            graph.number
+        rank = graph.rank()
+        order = graph._order[0]
+        number = graph.number
+        assert number == {v: u for u, v in enumerate(graph.elements)}
+        assert all(number[v] is order[rank[u]] for u, v in enumerate(graph.elements))
+
+    def test_edge_free_sets_have_density_zero(self, no_built_balls):
+        singletons = [ElementSet.of([v]) for v in ball(3)]
+        sets = singletons + [ElementSet.of([nf("x0"), nf("x1")]), ElementSet.of([nf("x0^40")])]
+        for s in sets:
+            stats = subgraph_density(s)
+            assert stats.oriented_edge_count == oracle_edge_count(s) == 0
+            assert stats.density == 0
 
 
 _far_elements = st.lists(
