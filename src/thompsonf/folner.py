@@ -21,16 +21,15 @@ inside the graph is the exact product, which the BFS and the spanned
 graph both guarantee.  The sort order and the classes (one byte per
 element, the value of its `class_of` label, read off the (pos, neg)
 halves of each element with no product) are derived once per graph, on
-first use.  The sort order is kept as each element's rank, as the
-numbers in that order and as the elements in that order; the number
-dict shares the numbers' int objects.  A set that holds at least
-1/_GATHER_SHARE (1/40) of its graph is sorted by one
-`operator.itemgetter` call over its mask and one `compress`, and a
-smaller set sorts its members by rank.  A density keeps nothing per
-graph: one itemgetter call, made for the set, reads the mask bytes at
-each column's entries under the mask, so densities never derive the
-sort order.  Densities, histograms, deletion checks and sort orders
-read columns, class bytes and masks; none multiplies normal forms.  The check
+first use.  The sort order is kept as the numbers in that order and as
+the elements in that order; a number dict built after it shares the
+numbers' int objects.  Every set is sorted by one `operator.itemgetter`
+call that reads its mask in that order, and one `compress`.  A density
+keeps nothing per graph: one itemgetter call, made for the set, reads
+the mask bytes at each column's entries under the mask, so densities
+never derive the sort order.  Densities, histograms, deletion checks and
+sort orders read columns, class bytes and masks; none multiplies normal
+forms.  The check
 passes read them too and only decide; the closure pass makes just the
 products no column holds (those that leave the graph, and those by x0^-1
 and x1^-1), and a failing check's lines come from its `classify` oracle.
@@ -117,14 +116,13 @@ class _CayleyGraph:
     """Numbered elements and their x0 and x1 neighbour columns, in that
     order; every entry is the exact product or -1 (module docstring)."""
 
-    __slots__ = ("_elements", "_number", "columns", "_rank", "_order", "_classes")
+    __slots__ = ("_elements", "_number", "columns", "_order", "_classes")
 
     def __init__(self, elements: list[NormalForm] | None,
                  number: dict[NormalForm, int] | None, columns: tuple[array, ...]) -> None:
         self._elements = elements
         self._number = number
         self.columns = columns
-        self._rank: array | None = None
         self._order: tuple[tuple[int, ...], list[NormalForm]] | None = None
         self._classes: bytes | None = None
 
@@ -137,9 +135,9 @@ class _CayleyGraph:
 
     @property
     def number(self) -> dict[NormalForm, int]:
-        """Normal form to number, derived on first use.  The dict and the
-        sort order share their int objects, whichever is built first, rather
-        than hold two per element (ball(10): 2.8 MB)."""
+        """Normal form to number, derived on first use.  Built after the
+        sort order, the dict shares its int objects rather than hold two per
+        element (ball(10): 2.8 MB)."""
         if self._number is None:
             if self._order is None:
                 self._number = {v: u for u, v in enumerate(self.elements)}
@@ -158,23 +156,17 @@ class _CayleyGraph:
         that `numbers` names."""
         return map(nf_multiply, map(self.elements.__getitem__, numbers), repeat(GENERATORS[k]))
 
-    def rank(self) -> array:
-        """Position of every element in the order of formatted normal forms;
-        each element is formatted once.  The order itself is kept as
-        `_order`: the numbers in that order and the elements in that order."""
-        if self._rank is None:
+    def order(self) -> tuple[tuple[int, ...], list[NormalForm]]:
+        """The numbers in the order of formatted normal forms, then two -1
+        (reads of a mask's trailing 0 byte, so that an itemgetter over them
+        returns a tuple however few the elements), and the elements in that
+        order; each element is formatted once."""
+        if self._order is None:
             keys = list(starmap(format_halves, self.halves()))
-            # a dict built before the order holds the numbers in number order
-            numbers = range(len(keys)) if self._number is None else self._number.values()
-            order = sorted(numbers, key=keys.__getitem__)
+            order = sorted(range(len(keys)), key=keys.__getitem__)
             del keys
-            rank = array("i", [0]) * len(order)
-            for position, u in enumerate(order):
-                rank[u] = position
-            # two reads of the trailing 0 byte: a tuple however few the elements
             self._order = (*order, -1, -1), list(map(self.elements.__getitem__, order))
-            self._rank = rank
-        return self._rank
+        return self._order
 
     def classes(self) -> bytes:
         """The class of every element, as the value 1 ... 7 of its label.  The
@@ -254,13 +246,6 @@ class _CayleyBall(_CayleyGraph):
         step = GENERATOR_STEPS[k]
         return map(key_halves, map(step, map(self.keys.__getitem__, numbers)))
 
-
-# `sorted_members` gathers a set's mask in sorted order, which costs the
-# graph, when the set holds at least 1/_GATHER_SHARE of it; a smaller set
-# sorts its members, which also scans the graph's mask once but then costs
-# about 0.25 us a member.  The two cross at 32-44 graph elements a member
-# on both ball(6) (1,381 elements) and ball(10) (88,253).
-_GATHER_SHARE = 40
 
 # every ball built in this process, by radius (module docstring)
 _BALLS: dict[int, _CayleyBall] = {}
@@ -383,20 +368,12 @@ class ElementSet:
 
     def sorted_members(self) -> list[NormalForm]:
         """Members ordered by formatted normal form; the order every
-        output format uses.  A set that holds at least 1/_GATHER_SHARE of
-        its graph reads its mask in the graph's sorted order, in one
-        itemgetter call, and compresses the sorted elements by it: no
-        Python call per member, but a cost in the graph's size.  A smaller
-        set sorts its members by rank."""
-        graph = self._graph
-        rank = graph.rank()
-        if self._size * _GATHER_SHARE >= len(graph):
-            order, in_order = graph._order
-            # an itemgetter keeps the tuple it is given: made in O(1)
-            return list(compress(in_order, itemgetter(*order)(self._mask)))
-        elements = graph.elements
-        numbers = compress(range(len(elements)), self._mask)
-        return [elements[u] for u in sorted(numbers, key=rank.__getitem__)]
+        output format uses.  One itemgetter call reads the mask in the
+        graph's sorted order and the sorted elements are compressed by it:
+        no Python call per member, at a cost in the graph's size."""
+        order, in_order = self._graph.order()
+        # an itemgetter keeps the tuple it is given: made in O(1)
+        return list(compress(in_order, itemgetter(*order)(self._mask)))
 
 
 class SubgraphStats(_Value):

@@ -455,7 +455,7 @@ class TestCayleyBall:
         assert subgraph_density(m6).density == Fraction(4516, 5419)
         assert s._graph._elements is None and s._graph._number is None
         # densities, histograms and drops read no sort order
-        assert s._graph._rank is None and s._graph._order is None
+        assert s._graph._order is None
         small = ball(6)
         text = elements_csv(small)
         assert small._graph._elements is None
@@ -630,77 +630,47 @@ class TestSpannedGraph:
                     assert column[u] == graph.number.get(nf_multiply(v, g), -1)
 
 
-def sizes_around_the_gather_rule(graph_size):
-    """0, 1, the sizes just below, at and just above the smallest that
-    `sorted_members` gathers, and the whole graph, as far as they fit."""
-    edge = -(-graph_size // folner._GATHER_SHARE)
-    return sorted({0, 1, edge - 1, edge, edge + 1, graph_size} & set(range(graph_size + 1)))
+def subset_sizes(graph_size):
+    """0, 1, 2, half, all but one and all of a graph, as far as they fit."""
+    return sorted({0, 1, 2, graph_size // 2, graph_size - 1, graph_size} & set(range(graph_size + 1)))
 
 
 class TestSortedMembers:
-    """Both paths of `sorted_members`, the sort by rank below the size rule
-    and the gather in the graph's sorted order at or above it, against
-    sorting the members by their strings."""
-
-    @staticmethod
-    def assert_sorted_by_the_rule(s, monkeypatch):
-        expected = sorted(s.members, key=str)
-        gathers = []
-
-        def getter(*numbers):
-            gathers.append(numbers)
-            return operator.itemgetter(*numbers)
-
-        monkeypatch.setattr(folner, "itemgetter", getter)
-        assert s.sorted_members() == expected
-        monkeypatch.undo()
-        assert len(gathers) == (len(s) * folner._GATHER_SHARE >= len(s._graph))
-        return bool(gathers)
+    """`sorted_members` against sorting the members by their strings."""
 
     @pytest.mark.parametrize("radius", [0, 6])
-    def test_ball_subsets(self, radius, no_built_balls, monkeypatch):
+    def test_ball_subsets(self, radius, no_built_balls):
         full = ball(radius)
         pool = list(full)
         rng = random.Random(181 + radius)
-        gathered = {}
-        for size in sizes_around_the_gather_rule(len(pool)):
+        for size in subset_sizes(len(pool)):
             s = ElementSet.of(rng.sample(pool, size))
             assert s._graph is full._graph and len(s) == size
-            gathered[size] = self.assert_sorted_by_the_rule(s, monkeypatch)
-        assert set(gathered.values()) == {False, True}
-        if radius:  # one member of ball(6) is sorted, the whole ball gathered
-            assert not gathered[1] and gathered[len(pool)]
+            assert s.sorted_members() == sorted(s.members, key=str)
 
-    def test_spanned_graph_subsets(self, no_built_balls, monkeypatch):
+    def test_spanned_graph_subsets(self, no_built_balls):
         full = translate_set(ball(4), nf("x0^40"))
         pool = full.sorted_members()
         assert not isinstance(full._graph, folner._CayleyBall) and len(pool) == 161
         rng = random.Random(191)
-        paths = set()
-        for size in sizes_around_the_gather_rule(len(pool)):
+        for size in subset_sizes(len(pool)):
             # `&` keeps the left operand's graph
             s = full & ElementSet.of(rng.sample(pool, size))
             assert s._graph is full._graph and len(s) == size
-            paths.add(self.assert_sorted_by_the_rule(s, monkeypatch))
-        assert paths == {False, True}
+            assert s.sorted_members() == sorted(s.members, key=str)
 
-    def test_empty_graph(self, no_built_balls, monkeypatch):
+    def test_empty_graph(self, no_built_balls):
+        # an itemgetter over the graph's order alone would return a bare int
         s = ElementSet.of([])
         assert len(s._graph) == 0
-        # the empty graph holds no element, so the empty set gathers
-        assert self.assert_sorted_by_the_rule(s, monkeypatch)
         assert s.sorted_members() == []
 
-    @pytest.mark.parametrize("number_first", [False, True], ids=["order first", "number first"])
-    def test_number_and_order_share_their_ints(self, number_first):
+    def test_number_built_after_the_order_shares_its_ints(self):
         graph = folner._CayleyBall(6, DEFAULT_ELEMENT_LIMIT)
-        if number_first:
-            graph.number
-        rank = graph.rank()
-        order = graph._order[0]
+        order, in_order = graph.order()
         number = graph.number
         assert number == {v: u for u, v in enumerate(graph.elements)}
-        assert all(number[v] is order[rank[u]] for u, v in enumerate(graph.elements))
+        assert all(number[v] is u for u, v in zip(order, in_order))
 
     def test_edge_free_sets_have_density_zero(self, no_built_balls):
         singletons = [ElementSet.of([v]) for v in ball(3)]
