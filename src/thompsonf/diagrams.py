@@ -30,7 +30,7 @@ in forest length.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 
 from .words import InvariantViolation, NormalForm, ParseError, _Value
@@ -39,6 +39,7 @@ Forest = str
 
 LEAF: Forest = "."
 _CARET = "(..)"
+_DIGITS = str.maketrans(".AB", "010", "()")  # with "(..)" as "AB": 1 at its left leaf
 
 
 def _check_forest(forest) -> None:
@@ -47,21 +48,27 @@ def _check_forest(forest) -> None:
         raise TypeError(f"forests must be strings, got {type(forest).__name__}")
     if not forest:
         raise ValueError("forests must contain at least one tree")
-    children: list[int] = []  # finished subtrees of each open caret
+    enclosing: list[int] = []  # finished subtrees of each enclosing caret
+    done = -1  # finished subtrees of the innermost open caret, -1 at root level
     for pos, ch in enumerate(forest):
-        if ch == ")":
-            if not children or children.pop() != 2:
-                raise ParseError(f"unexpected ')' at offset {pos}")
-        elif ch != "." and ch != "(":
-            raise ParseError(f"unexpected character {ch!r} at offset {pos}")
-        elif children and children[-1] == 2:
-            raise ParseError(f"missing ')' at offset {pos}")
+        if ch == ".":
+            if done == 2:
+                raise ParseError(f"missing ')' at offset {pos}")
         elif ch == "(":
-            children.append(0)
+            if done == 2:
+                raise ParseError(f"missing ')' at offset {pos}")
+            enclosing.append(done)
+            done = 0
             continue
-        if children:
-            children[-1] += 1
-    if children:
+        elif ch == ")":
+            if done != 2:
+                raise ParseError(f"unexpected ')' at offset {pos}")
+            done = enclosing.pop()
+        else:
+            raise ParseError(f"unexpected character {ch!r} at offset {pos}")
+        if done >= 0:
+            done += 1
+    if enclosing:
         raise ParseError("unexpected end of forest text")
 
 
@@ -104,7 +111,7 @@ class CanonicalDiagram(Diagram):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if _common_exposed(self.top, self.bottom):
+        if _has_dipole(self.top, self.bottom):
             raise ValueError("diagram has a dipole and is not canonical")
         if self.top.endswith(LEAF) and self.bottom.endswith(LEAF) and self.top != LEAF:
             raise ValueError("diagram has a trailing common edge and is not canonical")
@@ -123,8 +130,11 @@ def exposed_caret_positions(forest: Forest) -> list[int]:
     return out
 
 
-def _common_exposed(top: Forest, bottom: Forest) -> set[int]:
-    return set(exposed_caret_positions(top)) & set(exposed_caret_positions(bottom))
+def _has_dipole(top: Forest, bottom: Forest) -> bool:
+    """Whether forests of equal leaf counts share an exposed caret position,
+    read as one binary digit per leaf (base 2 has no int digit limit)."""
+    return bool(int(top.replace(_CARET, "AB").translate(_DIGITS), 2)
+                & int(bottom.replace(_CARET, "AB").translate(_DIGITS), 2))
 
 
 def _cut_at_leaf(forest: Forest, k: int) -> tuple[str, str]:
@@ -220,7 +230,7 @@ def _cancel_dipoles(top: Forest, bottom: Forest) -> tuple[Forest, Forest]:
     So the result is reduced, and as reduction is confluent (tested), it
     is the pair that cancelling dipoles in any order reaches.
     """
-    if not _common_exposed(top, bottom):
+    if not _has_dipole(top, bottom):
         return top, bottom
     out_top: list[str] = []
     out_bottom: list[str] = []
@@ -246,13 +256,10 @@ def reduce_dipoles(d: Diagram) -> Diagram:
     return Diagram(*_cancel_dipoles(d.top, d.bottom))
 
 
-def _trailing_leaves(forest: Forest) -> int:
-    return len(forest) - len(forest.rstrip(LEAF))
-
-
 def _trimmed(top: Forest, bottom: Forest) -> CanonicalDiagram:
     # epsilon(k) keeps one edge, as the identity epsilon(1)
-    trim = min(_trailing_leaves(top), _trailing_leaves(bottom), len(top) - 1)
+    trim = min(len(top) - len(top.rstrip(LEAF)), len(bottom) - len(bottom.rstrip(LEAF)),
+               len(top) - 1)
     return CanonicalDiagram(top[: len(top) - trim], bottom[: len(bottom) - trim])
 
 
@@ -374,7 +381,7 @@ def _forest_from_indices(indices: tuple[int, ...]) -> Forest:
 def _indices_from_forest(forest: Forest) -> tuple[int, ...]:
     """Inverse of _forest_from_indices up to trailing leaves: every caret,
     in preorder, is the index given by the number of leaves to its left."""
-    return tuple(accumulate(part.count(LEAF) for part in forest.split("(")))[:-1]
+    return tuple(accumulate(map(str.count, forest.split("("), repeat(LEAF))))[:-1]
 
 
 def nf_to_diagram(a: NormalForm) -> CanonicalDiagram:
@@ -402,13 +409,9 @@ def diagram_to_nf(d: CanonicalDiagram) -> NormalForm:
     so the letter count equals the cell count.
     """
     try:
-        return NormalForm(
-            _indices_from_forest(d.top), _indices_from_forest(d.bottom)
-        )
+        return NormalForm(_indices_from_forest(d.top), _indices_from_forest(d.bottom))
     except ValueError as exc:
-        raise InvariantViolation(
-            f"diagram does not read as a normal form: {exc}"
-        ) from exc
+        raise InvariantViolation(f"diagram does not read as a normal form: {exc}") from exc
 
 
 # -- text and DOT serialization -----------------------------------------------
@@ -451,10 +454,7 @@ def diagram_to_dot(d: Diagram) -> str:
     line, caret arcs of the top forest drawn above (blue), those of the
     bottom forest below (red)."""
     n = d.top.count(LEAF)
-    lines = [
-        "graph diagram {",
-        "  node [shape=point];",
-    ]
+    lines = ["graph diagram {", "  node [shape=point];"]
     for v in range(n + 1):
         lines.append(f'  v{v} [pos="{v},0!"];')
     for v in range(n):

@@ -456,8 +456,8 @@ GENERATOR_STEPS = (*_key_steps(0), *_key_steps(1))
 
 
 # Letters fold on count vectors when the index spread of the seed form and
-# the letters together is at most this many times the letter count n, so
-# the vectors hold at most 3n + 2 entries beyond the seed form's length.
+# the letters together is at most this many times the letter count n plus
+# the seed form's length m, so the vectors hold at most 3(n + m) + 2 entries.
 # A landing sums the vector over the index range it passes, which costs
 # O(spread) per letter, against O(form) for the tuple steps.  With Python
 # 3.11 on one CPU of a shared 2-CPU box, on random words of 16 to 256
@@ -520,11 +520,11 @@ def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalF
     would only move zeros, is skipped.
 
     When the index spread of the form and the letters together exceeds
-    _SPREAD_PER_LETTER times the number n of letters, the letters fold on
-    the tuple steps instead.  Folded on the vectors, no index exceeds the
-    largest one by more than the form's length plus n, so the vectors hold
-    at most 3n + 2 entries beyond the form's length, and x0 x1000000000
-    allocates no billion.
+    _SPREAD_PER_LETTER times the number n of letters plus the form's length
+    m, the letters fold on the tuple steps instead.  Folded on the vectors,
+    no index exceeds the largest one by more than m + n, so the vectors
+    hold at most 3(n + m) + 2 entries, and x0 x1000000000 allocates no
+    billion.
     """
     base, top = min(letters)[0], max(letters)[0]
     size = 0  # the identity seeds empty vectors
@@ -532,7 +532,7 @@ def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalF
         base = min(base, *pos[:1], *neg[:1])
         top = max(top, *pos[-1:], *neg[-1:])
         size = top - base + 2
-    if top - base > _SPREAD_PER_LETTER * len(letters):
+    if top - base > _SPREAD_PER_LETTER * (len(letters) + len(pos) + len(neg)):
         for index, sign in letters:
             pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
         return _trusted(pos, neg)

@@ -1,6 +1,8 @@
 import copy
+import itertools
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -8,7 +10,9 @@ from conftest import random_normal_form
 from thompsonf import diagrams
 from thompsonf.diagrams import (
     LEAF,
+    _check_forest,
     _cut_at_leaf,
+    _has_dipole,
     CanonicalDiagram,
     Diagram,
     atomic,
@@ -501,3 +505,107 @@ def test_widest_word_multiplies_by_its_mirror_to_the_identity():
     d = nf_to_diagram(NormalForm(tuple(range(MAX_WORD_LETTERS)), ()))
     assert d.top.count(LEAF) == d.bottom.count(LEAF) == MAX_WORD_LETTERS + 1
     assert concat_product(d, mirror(d)) == epsilon(1)
+
+
+# -- literal references for the constructor's checks --------------------------
+
+
+def _check_forest_by_stack(forest):
+    """The forest check with a stack of finished-subtree counts, one per open
+    caret; `_check_forest` keeps the innermost count in a local instead."""
+    if not isinstance(forest, str):
+        raise TypeError(f"forests must be strings, got {type(forest).__name__}")
+    if not forest:
+        raise ValueError("forests must contain at least one tree")
+    children = []
+    for pos, ch in enumerate(forest):
+        if ch == ")":
+            if not children or children.pop() != 2:
+                raise ParseError(f"unexpected ')' at offset {pos}")
+        elif ch != "." and ch != "(":
+            raise ParseError(f"unexpected character {ch!r} at offset {pos}")
+        elif children and children[-1] == 2:
+            raise ParseError(f"missing ')' at offset {pos}")
+        elif ch == "(":
+            children.append(0)
+            continue
+        if children:
+            children[-1] += 1
+    if children:
+        raise ParseError("unexpected end of forest text")
+
+
+def _outcome(check, forest):
+    try:
+        check(forest)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def _positions_meet(top, bottom):
+    return bool(set(exposed_caret_positions(top)) & set(exposed_caret_positions(bottom)))
+
+
+class TestConstructorChecks:
+    def test_forest_check_matches_the_stack_on_every_short_string(self):
+        outcomes = set()
+        for size in range(9):
+            for chars in itertools.product(".()x", repeat=size):
+                forest = "".join(chars)
+                outcome = _outcome(_check_forest, forest)
+                assert outcome == _outcome(_check_forest_by_stack, forest), forest
+                outcomes.add(outcome and outcome[1].partition(" at offset")[0])
+        assert outcomes == {None, "unexpected ')'", "unexpected character 'x'",
+                            "missing ')'", "unexpected end of forest text",
+                            "forests must contain at least one tree"}
+
+    def test_forest_check_rejects_non_strings_and_empty_forests(self):
+        for forest in (None, 1, list(CARET), CARET.encode()):
+            with pytest.raises(TypeError, match="forests must be strings, got"):
+                _check_forest(forest)
+            assert _outcome(_check_forest, forest) == _outcome(_check_forest_by_stack, forest)
+        with pytest.raises(ValueError, match="forests must contain at least one tree"):
+            _check_forest("")
+
+    def test_dipole_test_matches_exposed_positions_on_random_pairs(self):
+        rng = random.Random(97)
+        found = set()
+        for _ in range(5000):
+            leaves = rng.randint(1, 40)
+            top, bottom = _random_forest(rng, leaves), _random_forest(rng, leaves)
+            found.add(_has_dipole(top, bottom))
+            assert _has_dipole(top, bottom) == _positions_meet(top, bottom), (top, bottom)
+        assert found == {False, True}
+
+    def test_dipole_test_matches_exposed_positions_on_grafted_pairs(self, monkeypatch):
+        grafted = []
+        cancel = diagrams._cancel_dipoles
+        monkeypatch.setattr(diagrams, "_cancel_dipoles",
+                            lambda top, bottom: grafted.append((top, bottom))
+                            or cancel(top, bottom))
+        rng = random.Random(101)
+        for _ in range(500):
+            d1 = nf_to_diagram(random_normal_form(rng, max_len=40))
+            d2 = nf_to_diagram(random_normal_form(rng, max_len=40))
+            concat_product(d1, d2)
+        found = set()
+        for top, bottom in grafted:
+            found.add(_has_dipole(top, bottom))
+            assert _has_dipole(top, bottom) == _positions_meet(top, bottom), (top, bottom)
+        assert found == {False, True}
+
+    def test_dipole_test_reads_forests_wider_than_the_int_digit_limit(self):
+        # 10,001 leaves make 10,001 binary digits; int() limits the digits of
+        # decimal strings (to at least 640), not those of base-2 ones
+        d = nf_to_diagram(NormalForm(tuple(range(MAX_WORD_LETTERS)), ()))
+        e = mirror(d)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # (d.top, e.bottom) is the grafted pair of d times its mirror
+            for top, bottom in ((d.top, e.bottom), (d.top, d.bottom)):
+                assert _has_dipole(top, bottom) == _positions_meet(top, bottom)
+            assert _has_dipole(d.top, e.bottom) and not _has_dipole(d.top, d.bottom)
+        finally:
+            sys.set_int_max_str_digits(limit)

@@ -59,6 +59,18 @@ def test_only_the_front_ends_import_diagrams():
     assert importers == {"cli"}
 
 
+def test_diagrams_imports_three_small_stdlib_modules():
+    # the oracle and lemma-del benchmark workers import diagrams during their
+    # timed set-up, so a heavier stdlib import would show in it
+    stdlib = set()
+    for node in ast.walk(ast.parse((PACKAGE / "diagrams.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            stdlib.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            stdlib.add(node.module.split(".")[0])
+    assert stdlib - {"__future__"} == {"functools", "itertools", "operator"}
+
+
 def test_no_module_imports_rewriting():
     graph = import_graph()
     assert not [name for name, imports in graph.items() if "rewriting" in imports]

@@ -562,6 +562,18 @@ class TestLongRightFactors:
             nf_multiply(a, b)
         assert len(folds) == len(long)
 
+    def test_dense_wide_left_form_folds_on_the_vectors(self, monkeypatch):
+        # x9999 ... x0 is x0 x2 ... x19998: its spread of 19,998 fits the
+        # budget of the 5,000 letters and the form's 10,000
+        a, b = NormalForm(tuple(range(0, 20_000, 2)), ()), NormalForm((0,) * 5000, ())
+        steps = []
+        times_positive = words._times_positive
+        monkeypatch.setattr(words, "_times_positive",
+                            lambda *args: steps.append(1) or times_positive(*args))
+        # each x0 raises every index above 0 by one
+        assert nf_multiply(a, b) == ((0,) * 5001 + tuple(range(5002, 25_000, 2)), ())
+        assert steps == []
+
     def test_sparse_long_factor_multiplies_in_bounded_memory(self):
         # 200 letters with indices up to 10**9: the tuple fallback
         step = 10**7
