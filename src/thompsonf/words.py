@@ -27,9 +27,10 @@ together with a shift rule: a factor x_i w x_i^-1 in which every letter
 of w has index >= i+2 rewrites to w with all indices decremented by one.
 The system is confluent (certified by tests), so the rewriting order does
 not matter.  `reduce_to_normal_form` folds a word's letters into a normal
-form one at a time, on vectors that count each index in either half, and
-`nf_multiply` folds a long right factor's letters onto the left factor
-the same way.
+form one at a time, on a vector that counts each index of the positive
+half and bytes that count the negative half's entries below each index,
+and `nf_multiply` folds a long right factor's letters onto the left
+factor the same way.
 The literal rules, applied one redex at a time, are the test oracle in
 `thompsonf.rewriting`, which no CLI verb loads.
 """
@@ -38,8 +39,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import compress, groupby, repeat
-from operator import itemgetter
+from itertools import accumulate, compress, groupby, repeat
+from operator import countOf, itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -233,12 +234,12 @@ _TOKEN_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?\Z")
 # Longest word parse_word expands.  Reduction, and the product by a right
 # factor of more than _SHORT_FACTOR letters, are still quadratic in the
 # worst case, though in C: each letter may move the count vectors' tail
-# (list inserts and deletes).  On a shared 2-CPU box with Python 3.11, in
-# process, x0^100000 reduces in 0.07 s and x0^-100000 x1^100000 in 0.4 s,
-# but x_{n-1} ... x1 x0 takes 0.11 s at n = 10,000 and 0.9 s at n = 30,000.
-# The product of the forms of two 10,000-letter random words over x0..x12
-# (about 4,000 letters each) takes 0.03-0.11 s, against 0.39-0.54 s on
-# the tuple steps alone.
+# (inserts and deletes).  With Python 3.11.7 on one pinned CPU of a shared
+# 2-CPU box, in process, x0^100000 reduces in 0.03 s and x0^-100000
+# x1^100000 in 0.22 s, but x_{n-1} ... x1 x0 takes 0.05 s at n = 10,000 and
+# 0.37 s at n = 30,000.  The product of the forms of two 10,000-letter
+# random words over x0..x12 (about 4,000 letters each) takes 0.01-0.11 s,
+# against 0.34-0.51 s on the tuple steps alone.
 MAX_WORD_LETTERS = 10_000
 # Largest generator index parse_word accepts; a diagram of x_n has forests
 # n + 2 leaves wide, so the cap also bounds what `diagram` prints.
@@ -457,37 +458,39 @@ GENERATOR_STEPS = (*_key_steps(0), *_key_steps(1))
 
 # Letters fold on count vectors when the index spread of the seed form and
 # the letters together is at most this many times the letter count n plus
-# the seed form's length m, so the vectors hold at most 3(n + m) + 2 entries.
-# A landing sums the vector over the index range it passes, which costs
-# O(spread) per letter, against O(form) for the tuple steps.  With Python
-# 3.11 on one CPU of a shared 2-CPU box, on random words of 16 to 256
-# letters, the vector fold took 0.74x the tuple fold's time at a spread of
-# one index a letter, 0.86-0.93x at two and 0.97-1.15x at three; on words
-# of up to 8 letters the tuple steps win at any spread.
+# the seed form's length m.  A landing reads a byte a round at any spread,
+# but every insert, delete and translate moves the vectors' tail.  With
+# Python 3.11.7 on one pinned CPU of a shared 2-CPU box, on random words of
+# 16 to 256 letters, the byte fold took 0.26-0.81x the tuple fold's time at
+# a spread of one index a letter, 0.28-0.85x at two, 0.31-0.93x at three
+# and 0.47-1.68x at eight; on words of 8 letters the tuple steps win at any
+# spread (1.11x at one, 1.26x at three), so a larger budget is no gain.
 _SPREAD_PER_LETTER = 2
-# Landing ranges longer than this are first narrowed to their occupied part,
-# found by memchr on a byte mask; plain sums cost about 12 ns an entry, the
-# narrowing about 0.5 us, so it wins on sparse ranges from about 40 entries.
+# `_fold_lists` only: landing ranges longer than this are first narrowed to
+# their occupied part, found by memchr on the byte mask `occupied`; plain
+# sums cost about 12 ns an entry, the narrowing about 0.5 us, so it wins on
+# sparse ranges from about 40 entries.
 _NARROW = 32
 # nf_multiply folds a right factor of more than this many letters by
 # `_fold`, a shorter one by the tuple steps.  The fold costs a few us more
 # to set up (the letter list, the spread, seeding the vectors) and less a
 # letter, as the tuple steps rebuild both halves of the growing form.  With
-# Python 3.11.7 on one pinned CPU of a shared 2-CPU box, best of 7 over 40
-# random forms from words over x0..x12, us per product, tuple / fold:
+# Python 3.11.7 on one pinned CPU of a shared 2-CPU box, best of 3 x 7 over
+# 40 random forms from words over x0..x12, us per product, tuple / fold:
 #
 #     |b|   |a| = 8    |a| = 20   |a| = 40   |a| = 80    |a| = 150
-#      8     10 / 15    11 / 15    16 / 19    22 / 25     35 / 39
-#     16     20 / 21    24 / 24    30 / 36    44 / 50     67 / 72
-#     20     24 / 25    30 / 28    38 / 36    52 / 56     78 / 83
-#     24     31 / 29    36 / 33    46 / 41    65 / 72     98 / 104
-#     32     39 / 34    47 / 38    61 / 46    90 / 77    141 / 150
-#     47     63 / 52    76 / 56    95 / 69   132 / 90    205 / 195
+#      8      8 / 12    10 / 15    14 / 20    20 / 28     28 / 41
+#     12     13 / 15    16 / 17    21 / 22    30 / 32     43 / 45
+#     14     15 / 16    20 / 20    25 / 25    34 / 31     51 / 45
+#     16     18 / 18    22 / 21    28 / 25    37 / 33     56 / 45
+#     20     21 / 19    27 / 22    32 / 25    45 / 33     66 / 48
+#     24     27 / 22    33 / 26    40 / 30    57 / 37     73 / 47
+#     32     35 / 26    42 / 29    52 / 32    71 / 39    109 / 53
+#     47     52 / 32    60 / 38    80 / 41   106 / 51    162 / 67
 #
-# So the fold wins from about 20 letters for left forms up to 40 letters,
-# from about 30 at 80 and about 45 at 150; at 150 x 150 letters (the
-# oracle's long jobs) it takes half the tuple steps' time.
-_SHORT_FACTOR = 20
+# So the fold wins from about 16 letters at every left form size; at
+# 150 x 150 letters (the oracle's long jobs) it takes 133 us against 600.
+_SHORT_FACTOR = 15
 
 
 def reduce_to_normal_form(w: Word) -> NormalForm:
@@ -499,32 +502,36 @@ def reduce_to_normal_form(w: Word) -> NormalForm:
 def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalForm:
     """The normal form (pos, neg) times the non-empty `letters`, (index,
     sign) pairs folded from the left, each by the step of `_times_positive`
-    or `_times_negative`, on two count vectors: cp[p] and cn[p] count the
-    copies of x_{b+p} in pos and in neg, where b is the smallest index in
-    the form and the letters.  A non-empty form seeds the vectors.  Every
-    relation and the shift rule commute with x_i -> x_{i+c}, and no step
-    makes an index smaller than the smallest one in its input, so folding
-    with all indices lowered by b and raising the result by b gives the
-    same form.
+    or `_times_negative`, on positions p that stand for x_{b+p}, where b is
+    the smallest index in the form and the letters.  Every relation and the
+    shift rule commute with x_i -> x_{i+c}, and no step makes an index
+    smaller than the smallest one in its input, so folding with all indices
+    lowered by b and raising the result by b gives the same form.
 
-    Landing: g' is the least t >= g with t = g + #{neg entries < t}, the
-    k of `_landing` being the count of neg entries below g'.  Starting from
-    t = g, each round adds the neg entries in the range [lo, t) that the
-    previous round passed, until a round passes none.  Then x_{g'} cancels
-    one cn[g'], or enters cp[g'] after a 0 is inserted at g'+1 in both
-    vectors, which raises every index above g'.  x_{g'}^-1 takes the shift
-    rule when cp[g'] > 0 and cp[g'+1] = cn[g'+1] = 0: one cp[g'] goes and
-    position g'+1 is deleted, lowering every index above g'; otherwise it
-    enters cn[g'].  Positions past the vectors' end count 0, and the last
-    entry is always 0, so an insert or delete at the last position, which
-    would only move zeros, is skipped.
+    cp[p] counts the copies of x_{b+p} in pos, and the byte below[p] the neg
+    entries at positions < p.  The landing g' of x_g is the least fixed
+    point of t = g + below[t] (the k of `_landing` is below[g']); below
+    never decreases, so iterating from t = g reaches it, one read a round.
+    x_{g'} cancels a neg entry at g' if there is one, or else enters cp[g']
+    after a 0 is inserted at g'+1 in both vectors, raising every index
+    above g'.  x_{g'}^-1 takes the shift rule when cp[g'] > 0 and position
+    g'+1 is empty: one cp[g'] goes and position g'+1 is deleted, lowering
+    every index above g'; otherwise it enters neg at g'.  An entry or a
+    cancel at g' is one `translate` of the bytes above g'.  Positions from
+    `end` - 1 on hold no index, so an insert or delete there is skipped.
+
+    neg never holds more entries than len(neg) plus the inverse letters, so
+    bytes hold the counts when that bound is at most 255; a larger one
+    folds by `_fold_lists`.  A landing passes at most the bound's entries,
+    less one for each position a shift rule deleted (each spends an inverse
+    letter), so the vectors, laid out bound + 1 positions past the largest
+    index, hold every read.
 
     When the index spread of the form and the letters together exceeds
     _SPREAD_PER_LETTER times the number n of letters plus the form's length
     m, the letters fold on the tuple steps instead.  Folded on the vectors,
-    no index exceeds the largest one by more than m + n, so the vectors
-    hold at most 3(n + m) + 2 entries, and x0 x1000000000 allocates no
-    billion.
+    no index exceeds the largest one by more than m + n, so x0 x1000000000
+    allocates no billion.
     """
     base, top = min(letters)[0], max(letters)[0]
     size = 0  # the identity seeds empty vectors
@@ -536,8 +543,50 @@ def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalF
         for index, sign in letters:
             pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
         return _trusted(pos, neg)
+    bound = len(neg) + countOf(map(itemgetter(1), letters), -1)
+    if bound > 255:
+        return _fold_lists(pos, neg, letters, base, size)
+    end = size
+    cp, below = [0] * (top - base + bound + 2), bytearray(top - base + bound + 3)
+    for i in pos:
+        cp[i - base] += 1
+    for j in neg:
+        below[j - base + 1] += 1
+    below = bytearray(accumulate(below))
+    for index, sign in letters:
+        t = g = index - base
+        while t != (t := g + below[t]):
+            pass
+        inner = t + 2 < end
+        if not inner:
+            end = t + 2
+        if sign > 0:
+            if below[t + 1] > below[t]:
+                below[t + 1 :] = below[t + 1 :].translate(_LOWER[0])
+            else:
+                if inner:
+                    cp.insert(t + 1, 0)
+                    below.insert(t + 1, below[t + 1])
+                    end += 1
+                cp[t] += 1
+        elif cp[t] and not cp[t + 1] and below[t + 2] == below[t + 1]:
+            cp[t] -= 1
+            if inner:
+                del cp[t + 1], below[t + 1]
+                end -= 1
+        else:
+            below[t + 1 :] = below[t + 1 :].translate(_RAISE[0])
+    return _trusted(_indices(cp, base), _indices([*map(sub, below[1:], below)], base))
+
+
+def _fold_lists(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]],
+                base: int, size: int) -> NormalForm:
+    """`_fold` on lists, for a neg half that may outgrow a byte: cn[p]
+    counts the copies of x_{b+p} in neg.  A landing adds the neg entries in
+    the range [lo, g) that the previous round passed, until a round passes
+    none.  Positions past the end count 0, and the last entry is always 0."""
     cp, cn = [0] * size, [0] * size
-    occupied = bytearray(size)  # occupied[p] == 1 iff cn[p] > 0
+    occupied = bytearray(size)  # occupied[p] == 1 iff cn[p] > 0, for _NARROW
     for i in pos:
         cp[i - base] += 1
     for j in neg:

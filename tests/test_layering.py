@@ -59,16 +59,27 @@ def test_only_the_front_ends_import_diagrams():
     assert importers == {"cli"}
 
 
+def stdlib_imports(name):
+    """The top-level modules that the package module `name` imports by
+    absolute name, besides `__future__`."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - {"__future__"}
+
+
 def test_diagrams_imports_three_small_stdlib_modules():
     # the oracle and lemma-del benchmark workers import diagrams during their
     # timed set-up, so a heavier stdlib import would show in it
-    stdlib = set()
-    for node in ast.walk(ast.parse((PACKAGE / "diagrams.py").read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            stdlib.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            stdlib.add(node.module.split(".")[0])
-    assert stdlib - {"__future__"} == {"functools", "itertools", "operator"}
+    assert stdlib_imports("diagrams") == {"functools", "itertools", "operator"}
+
+
+def test_words_imports_five_small_stdlib_modules():
+    # every CLI child and benchmark worker imports words at start-up
+    assert stdlib_imports("words") == {"re", "bisect", "itertools", "operator", "typing"}
 
 
 def test_no_module_imports_rewriting():

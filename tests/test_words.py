@@ -402,6 +402,11 @@ class TestReduce:
     # the last landing passes [4, 37), which is narrowed and holds x34^-1
     # and x36^-1
     @example(parse_word("x0^-33 x1^-1 x2^-1 x4"))
+    # x1 lands past the vectors' end, as far above its index as the bound
+    # (three inverse letters, all in neg) lets a landing go
+    @example(parse_word("x0^-3 x1"))
+    # x3^-1 takes the shift rule at the last position that holds an index
+    @example(parse_word("x0^-2 x3 x3^-1"))
     def test_count_vectors_match_the_tuple_steps(self, w):
         letters = w.letters
         pos = neg = ()
@@ -501,6 +506,11 @@ class TestLongRightFactors:
     # a right factor of exactly _SHORT_FACTOR letters, and one more
     @example(parse_word("x2 x1"), parse_word(f"x0^{_SHORT_FACTOR}"))
     @example(parse_word("x2 x1"), parse_word(f"x0^{_SHORT_FACTOR + 1}"))
+    # every x1 lands past the seed form's end, as far above its index as
+    # the bound (the seed's three neg entries) lets a landing go
+    @example(parse_word("x0^-3"), parse_word(f"x1^{_SHORT_FACTOR + 1}"))
+    # the first x5^-1 takes the shift rule at the seed form's last position
+    @example(parse_word("x5"), parse_word(f"x5^-{_SHORT_FACTOR + 1}"))
     def test_products_match_the_tuple_steps(self, u, w):
         a, b = reduce_to_normal_form(u), reduce_to_normal_form(w)
         product = nf_multiply(a, b)
@@ -588,6 +598,76 @@ class TestLongRightFactors:
             tracemalloc.stop()
         assert peak < 2**20
         assert product == self.tuple_product(x0, f)
+
+
+class TestByteBound:
+    """`_fold` counts the neg half in bytes when len(neg) plus the inverse
+    letters is at most 255, and on the lists of `_fold_lists` above that."""
+
+    @pytest.fixture
+    def list_folds(self, monkeypatch):
+        calls = []
+        fold_lists = words._fold_lists
+        monkeypatch.setattr(words, "_fold_lists",
+                            lambda *args: calls.append(1) or fold_lists(*args))
+        return calls
+
+    @staticmethod
+    def tuple_reduction(w):
+        pos = neg = ()
+        for index, sign in w.letters:
+            pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
+        return pos, neg
+
+    @pytest.mark.parametrize("text, bound", [
+        # neg reaches 255 entries, and the counts fall back from 255
+        ("x0^-255 x1 x0^255", 255),
+        # the shift rule among counts of 254, then cancels
+        ("x0^-254 x1 x1^-1 x0^254", 255),
+        # neg reaches 255 entries, the shift rule, then cancels
+        ("x0^-255 x1 x1^-1 x0^255", 256),
+        # 256 entries, which a byte would wrap
+        ("x0^-256 x1 x0^256", 256),
+    ])
+    def test_reduction_at_the_bound(self, text, bound, list_folds):
+        w = parse_word(text)
+        assert sum(sign < 0 for _, sign in w) == bound
+        assert reduce_to_normal_form(w) == self.tuple_reduction(w)
+        assert len(list_folds) == (bound > 255)
+
+    @pytest.mark.parametrize("inverses", [255, 256])
+    def test_random_reduction_at_the_bound(self, inverses, list_folds):
+        rng = random.Random(inverses)
+        for _ in range(5):
+            signs = [-1] * inverses + [1] * 300
+            rng.shuffle(signs)
+            w = Word(tuple(Letter(rng.randint(0, 12), sign) for sign in signs))
+            assert reduce_to_normal_form(w) == self.tuple_reduction(w)
+        assert len(list_folds) == 5 * (inverses > 255)
+
+    @pytest.mark.parametrize("b_neg", [127, 128])
+    @pytest.mark.parametrize("a, b_pos", [
+        # every x1^-1 lands at 129: the first takes the shift rule on x129
+        (NormalForm((129,), (0,) * 128), ()),
+        # b's x0 cancel a's 64 x0^-1 first
+        (NormalForm((2, 200), (0,) * 64 + (1,) * 64), (0,) * 64 + (3,) * 20),
+    ])
+    def test_products_at_the_bound(self, a, b_pos, b_neg, list_folds):
+        b = NormalForm(b_pos, (1,) * b_neg)
+        assert nf_multiply(a, b) == TestLongRightFactors.tuple_product(a, b)
+        assert len(list_folds) == (len(a.neg) + b_neg > 255)
+
+    def test_oracle_shaped_folds_stay_on_bytes(self, list_folds):
+        rng = random.Random(43)
+        for _ in range(20):
+            a, b = (reduce_to_normal_form(Word(tuple(
+                Letter(rng.randint(0, 12), rng.choice((1, -1))) for _ in range(320)
+            ))) for _ in range(2))
+            nf_multiply(a, b)
+        assert list_folds == []
+        nf_multiply(NormalForm((), (0,) * 128), NormalForm((), (1,) * 128))
+        reduce_to_normal_form(parse_word("x0^-256"))
+        assert len(list_folds) == 2
 
 
 class TestStandardAlphabet:
