@@ -27,10 +27,11 @@ together with a shift rule: a factor x_i w x_i^-1 in which every letter
 of w has index >= i+2 rewrites to w with all indices decremented by one.
 The system is confluent (certified by tests), so the rewriting order does
 not matter.  `reduce_to_normal_form` folds a word's letters into a normal
-form one at a time, on a vector that counts each index of the positive
-half and bytes that count the negative half's entries below each index,
-and `nf_multiply` folds a long right factor's letters onto the left
-factor the same way.
+form one at a time, and `nf_multiply` folds a long right factor's letters
+onto the left factor the same way: on a vector that counts each index of
+the positive half and bytes that count the negative half's entries below
+each index, or on the tuple steps when the negative half could outgrow a
+byte or the indices spread too wide for vectors.
 The literal rules, applied one redex at a time, are the test oracle in
 `thompsonf.rewriting`, which no CLI verb loads.
 """
@@ -38,7 +39,7 @@ The literal rules, applied one redex at a time, are the test oracle in
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, groupby, repeat
 from operator import countOf, itemgetter, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -233,13 +234,16 @@ _TOKEN_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?\Z")
 
 # Longest word parse_word expands.  Reduction, and the product by a right
 # factor of more than _SHORT_FACTOR letters, are still quadratic in the
-# worst case, though in C: each letter may move the count vectors' tail
-# (inserts and deletes).  With Python 3.11.7 on one pinned CPU of a shared
-# 2-CPU box, in process, x0^100000 reduces in 0.03 s and x0^-100000
-# x1^100000 in 0.22 s, but x_{n-1} ... x1 x0 takes 0.05 s at n = 10,000 and
-# 0.37 s at n = 30,000.  The product of the forms of two 10,000-letter
-# random words over x0..x12 (about 4,000 letters each) takes 0.01-0.11 s,
-# against 0.34-0.51 s on the tuple steps alone.
+# worst case: on the count vectors each letter may move their tail, in C;
+# on the tuple steps, which take each fold whose neg half could pass 255
+# entries, each letter rebuilds both halves and a landing may take a
+# bisection round per entry it passes.  With Python 3.11.7 on one pinned
+# CPU of a shared 2-CPU box, in process: x0^100000 reduces in 0.03 s and
+# x_{n-1} ... x0 in 0.04-0.06 s at n = 10,000 and 0.36 s at 30,000
+# (vectors); x0^-n in 0.16 s at n = 10,000 and 1.4-1.5 s at 30,000,
+# x0^-100000 x1^100000 in 32 s, and x4999^-1 ... x0^-1 x1^5000 in 5.3-6.2 s
+# (tuple steps).  The product of the forms of two 10,000-letter random words
+# over x0..x12 (about 4,000 letters each) takes 0.17-0.36 s.
 MAX_WORD_LETTERS = 10_000
 # Largest generator index parse_word accepts; a diagram of x_n has forests
 # n + 2 leaves wide, so the cap also bounds what `diagram` prints.
@@ -328,11 +332,14 @@ def _landing(neg: tuple, g: int) -> tuple[int, int]:
     k leading j of neg below its current index, which grows by one per j
     (x_j^-1 x_g^{+-1} -> x_{g+1}^{+-1} x_j^-1), so g' = g + k.  Each neg[m]
     passed is below g + m <= g'-1: nothing in neg lies at g'-1, and
-    neg[k:] lies at g' or above."""
-    for k, j in enumerate(neg):
-        if j >= g + k:
-            return k, g + k
-    return len(neg), g + len(neg)
+    neg[k:] lies at g' or above.  So g' is the least fixed point of
+    t = g + bisect_left(neg, t), the rule `_fold` reads in its bytes; the
+    right side never decreases in t, so iterating from t = g reaches it,
+    one C-level bisection a round and each from the last round's k."""
+    k = 0
+    while k != (k := bisect_left(neg, g + k, k)):
+        pass
+    return k, g + k
 
 
 def _times_positive(pos: tuple, neg: tuple, g: int) -> tuple[tuple, tuple]:
@@ -460,17 +467,12 @@ GENERATOR_STEPS = (*_key_steps(0), *_key_steps(1))
 # the letters together is at most this many times the letter count n plus
 # the seed form's length m.  A landing reads a byte a round at any spread,
 # but every insert, delete and translate moves the vectors' tail.  With
-# Python 3.11.7 on one pinned CPU of a shared 2-CPU box, on random words of
-# 16 to 256 letters, the byte fold took 0.26-0.81x the tuple fold's time at
-# a spread of one index a letter, 0.28-0.85x at two, 0.31-0.93x at three
-# and 0.47-1.68x at eight; on words of 8 letters the tuple steps win at any
-# spread (1.11x at one, 1.26x at three), so a larger budget is no gain.
+# Python 3.11.7 on one pinned CPU of a shared 2-CPU box, on 40 random words
+# of n letters with indices up to s * n, the byte fold took, over the tuple
+# steps' time: at n = 16 to 256, 0.29-0.91x at s = 1, 0.31-0.82x at 2,
+# 0.37-0.76x at 3, 0.39-1.02x at 4 and 0.56-1.19x at 8; at n = 8, 1.11x,
+# 1.14x and 1.21x at s = 1, 2, 3.  So a larger budget is no gain.
 _SPREAD_PER_LETTER = 2
-# `_fold_lists` only: landing ranges longer than this are first narrowed to
-# their occupied part, found by memchr on the byte mask `occupied`; plain
-# sums cost about 12 ns an entry, the narrowing about 0.5 us, so it wins on
-# sparse ranges from about 40 entries.
-_NARROW = 32
 # nf_multiply folds a right factor of more than this many letters by
 # `_fold`, a shorter one by the tuple steps.  The fold costs a few us more
 # to set up (the letter list, the spread, seeding the vectors) and less a
@@ -520,33 +522,27 @@ def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalF
     cancel at g' is one `translate` of the bytes above g'.  Positions from
     `end` - 1 on hold no index, so an insert or delete there is skipped.
 
-    neg never holds more entries than len(neg) plus the inverse letters, so
-    bytes hold the counts when that bound is at most 255; a larger one
-    folds by `_fold_lists`.  A landing passes at most the bound's entries,
-    less one for each position a shift rule deleted (each spends an inverse
-    letter), so the vectors, laid out bound + 1 positions past the largest
-    index, hold every read.
-
-    When the index spread of the form and the letters together exceeds
-    _SPREAD_PER_LETTER times the number n of letters plus the form's length
-    m, the letters fold on the tuple steps instead.  Folded on the vectors,
-    no index exceeds the largest one by more than m + n, so x0 x1000000000
-    allocates no billion.
+    neg never holds more entries than len(neg) plus the inverse letters.
+    A landing passes at most that bound's entries, less one for each
+    position a shift rule deleted (each spends an inverse letter), so the
+    vectors, laid out bound + 1 positions past the largest index, hold
+    every read.  The letters fold on them when bytes hold the counts, the
+    bound being at most 255, and the index spread of the form and the
+    letters together is at most _SPREAD_PER_LETTER times the form's length
+    plus the letter count; otherwise they fold on the tuple steps, so
+    x0 x1000000000 allocates no billion.
     """
     base, top = min(letters)[0], max(letters)[0]
-    size = 0  # the identity seeds empty vectors
+    end = 0  # the identity seeds empty vectors
     if pos or neg:
         base = min(base, *pos[:1], *neg[:1])
         top = max(top, *pos[-1:], *neg[-1:])
-        size = top - base + 2
-    if top - base > _SPREAD_PER_LETTER * (len(letters) + len(pos) + len(neg)):
+        end = top - base + 2
+    bound = len(neg) + countOf(map(itemgetter(1), letters), -1)
+    if bound > 255 or top - base > _SPREAD_PER_LETTER * (len(letters) + len(pos) + len(neg)):
         for index, sign in letters:
             pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
         return _trusted(pos, neg)
-    bound = len(neg) + countOf(map(itemgetter(1), letters), -1)
-    if bound > 255:
-        return _fold_lists(pos, neg, letters, base, size)
-    end = size
     cp, below = [0] * (top - base + bound + 2), bytearray(top - base + bound + 3)
     for i in pos:
         cp[i - base] += 1
@@ -577,60 +573,6 @@ def _fold(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]]) -> NormalF
         else:
             below[t + 1 :] = below[t + 1 :].translate(_RAISE[0])
     return _trusted(_indices(cp, base), _indices([*map(sub, below[1:], below)], base))
-
-
-def _fold_lists(pos: tuple, neg: tuple, letters: Sequence[tuple[int, int]],
-                base: int, size: int) -> NormalForm:
-    """`_fold` on lists, for a neg half that may outgrow a byte: cn[p]
-    counts the copies of x_{b+p} in neg.  A landing adds the neg entries in
-    the range [lo, g) that the previous round passed, until a round passes
-    none.  Positions past the end count 0, and the last entry is always 0."""
-    cp, cn = [0] * size, [0] * size
-    occupied = bytearray(size)  # occupied[p] == 1 iff cn[p] > 0, for _NARROW
-    for i in pos:
-        cp[i - base] += 1
-    for j in neg:
-        cn[j - base] += 1
-        occupied[j - base] = 1
-    for index, sign in letters:
-        lo = 0
-        g = index - base
-        while True:
-            if g - lo > _NARROW:
-                lo = occupied.find(1, lo, g)
-                passed = sum(cn[lo : occupied.rfind(1, lo, g) + 1]) if lo >= 0 else 0
-            else:
-                passed = sum(cn[lo:g])
-            if not passed:
-                break
-            lo = g
-            g += passed
-        end = len(cp)
-        if g + 1 >= end:
-            pad = g + 2 - end
-            cp += [0] * pad
-            cn += [0] * pad
-            occupied += bytes(pad)
-            end += pad
-        if sign > 0:
-            if cn[g]:
-                cn[g] -= 1
-                if not cn[g]:
-                    occupied[g] = 0
-            else:
-                if g + 2 < end:
-                    cp.insert(g + 1, 0)
-                    cn.insert(g + 1, 0)
-                    occupied.insert(g + 1, 0)
-                cp[g] += 1
-        elif cp[g] and not cp[g + 1] and not cn[g + 1]:
-            cp[g] -= 1
-            if g + 2 < end:
-                del cp[g + 1], cn[g + 1], occupied[g + 1]
-        else:
-            cn[g] += 1
-            occupied[g] = 1
-    return _trusted(_indices(cp, base), _indices(cn, base))
 
 
 def _indices(counts: list, base: int) -> tuple:

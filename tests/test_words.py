@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import random
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,8 +52,8 @@ def banded_words(draw, most=60):
     """Words of up to `most` letters from far-apart index bands: a word
     within one band folds on count vectors offset by its smallest index,
     a word mixing bands is too sparse for them and folds on the tuple
-    steps, and runs of one letter make landings pass ranges long enough
-    to be narrowed."""
+    steps, and runs of one letter make landings pass many entries in one
+    round."""
     bands = draw(st.lists(st.sampled_from((0, 300, 600, 10**9)), min_size=1, max_size=3))
     runs = draw(st.lists(st.tuples(st.sampled_from(bands), st.integers(0, 12),
                                    st.integers(-12, 12).filter(bool)), max_size=most))
@@ -399,8 +400,8 @@ class TestReduce:
 
     @settings(deadline=None, max_examples=400)
     @given(banded_words())
-    # the last landing passes [4, 37), which is narrowed and holds x34^-1
-    # and x36^-1
+    # the last landing takes two rounds: the first passes the 33 x0^-1,
+    # the second x34^-1 and x36^-1
     @example(parse_word("x0^-33 x1^-1 x2^-1 x4"))
     # x1 lands past the vectors' end, as far above its index as the bound
     # (three inverse letters, all in neg) lets a landing go
@@ -602,22 +603,18 @@ class TestLongRightFactors:
 
 class TestByteBound:
     """`_fold` counts the neg half in bytes when len(neg) plus the inverse
-    letters is at most 255, and on the lists of `_fold_lists` above that."""
+    letters is at most 255, and folds on the tuple steps above that.  The
+    tuple steps are then the path under test, so results are compared with
+    the literal rewriting."""
 
     @pytest.fixture
-    def list_folds(self, monkeypatch):
+    def tuple_steps(self, monkeypatch):
         calls = []
-        fold_lists = words._fold_lists
-        monkeypatch.setattr(words, "_fold_lists",
-                            lambda *args: calls.append(1) or fold_lists(*args))
+        for name in ("_times_positive", "_times_negative"):
+            step = getattr(words, name)
+            monkeypatch.setattr(words, name,
+                                lambda *args, step=step: calls.append(1) or step(*args))
         return calls
-
-    @staticmethod
-    def tuple_reduction(w):
-        pos = neg = ()
-        for index, sign in w.letters:
-            pos, neg = (_times_positive if sign > 0 else _times_negative)(pos, neg, index)
-        return pos, neg
 
     @pytest.mark.parametrize("text, bound", [
         # neg reaches 255 entries, and the counts fall back from 255
@@ -629,21 +626,21 @@ class TestByteBound:
         # 256 entries, which a byte would wrap
         ("x0^-256 x1 x0^256", 256),
     ])
-    def test_reduction_at_the_bound(self, text, bound, list_folds):
+    def test_reduction_at_the_bound(self, text, bound, tuple_steps):
         w = parse_word(text)
         assert sum(sign < 0 for _, sign in w) == bound
-        assert reduce_to_normal_form(w) == self.tuple_reduction(w)
-        assert len(list_folds) == (bound > 255)
+        assert reduce_to_normal_form(w) == reduce_word_by_rewriting(w)
+        assert len(tuple_steps) == len(w) * (bound > 255)
 
     @pytest.mark.parametrize("inverses", [255, 256])
-    def test_random_reduction_at_the_bound(self, inverses, list_folds):
+    def test_random_reduction_at_the_bound(self, inverses, tuple_steps):
         rng = random.Random(inverses)
         for _ in range(5):
             signs = [-1] * inverses + [1] * 300
             rng.shuffle(signs)
             w = Word(tuple(Letter(rng.randint(0, 12), sign) for sign in signs))
-            assert reduce_to_normal_form(w) == self.tuple_reduction(w)
-        assert len(list_folds) == 5 * (inverses > 255)
+            assert reduce_to_normal_form(w) == reduce_word_by_rewriting(w)
+        assert len(tuple_steps) == 5 * len(signs) * (inverses > 255)
 
     @pytest.mark.parametrize("b_neg", [127, 128])
     @pytest.mark.parametrize("a, b_pos", [
@@ -652,22 +649,74 @@ class TestByteBound:
         # b's x0 cancel a's 64 x0^-1 first
         (NormalForm((2, 200), (0,) * 64 + (1,) * 64), (0,) * 64 + (3,) * 20),
     ])
-    def test_products_at_the_bound(self, a, b_pos, b_neg, list_folds):
+    def test_products_at_the_bound(self, a, b_pos, b_neg, tuple_steps):
         b = NormalForm(b_pos, (1,) * b_neg)
-        assert nf_multiply(a, b) == TestLongRightFactors.tuple_product(a, b)
-        assert len(list_folds) == (len(a.neg) + b_neg > 255)
+        assert nf_multiply(a, b) == reduce_word_by_rewriting(
+            Word(a.word().letters + b.word().letters))
+        assert len(tuple_steps) == (len(b_pos) + b_neg) * (len(a.neg) + b_neg > 255)
 
-    def test_oracle_shaped_folds_stay_on_bytes(self, list_folds):
+    def test_oracle_shaped_folds_stay_on_bytes(self, tuple_steps):
         rng = random.Random(43)
         for _ in range(20):
             a, b = (reduce_to_normal_form(Word(tuple(
                 Letter(rng.randint(0, 12), rng.choice((1, -1))) for _ in range(320)
             ))) for _ in range(2))
+            assert len(b.pos) + len(b.neg) > _SHORT_FACTOR
             nf_multiply(a, b)
-        assert list_folds == []
+        assert tuple_steps == []
         nf_multiply(NormalForm((), (0,) * 128), NormalForm((), (1,) * 128))
         reduce_to_normal_form(parse_word("x0^-256"))
-        assert len(list_folds) == 2
+        assert len(tuple_steps) == 128 + 256
+
+
+def scan_landing(neg, g):
+    """The landing of x_g in neg read off its definition: the first k with
+    neg[k] >= g + k, one entry at a time."""
+    for k, j in enumerate(neg):
+        if j >= g + k:
+            return k, g + k
+    return len(neg), g + len(neg)
+
+
+class TestLanding:
+    """`_landing` iterates t = g + bisect_left(neg, t) to its least fixed
+    point; it must land where the scan of the definition does."""
+
+    def test_every_small_neg_half(self):
+        count = 0
+        for length in range(7):
+            for neg in combinations_with_replacement(range(8), length):
+                for g in range(10):
+                    assert words._landing(neg, g) == scan_landing(neg, g), (neg, g)
+                    count += 1
+        assert count == 30030
+
+    def test_long_and_adversarial_neg_halves(self):
+        rng = random.Random(47)
+        halves = [
+            tuple(range(2000)),  # one round per entry passed
+            (0,) * 2000,  # every entry passed in one round
+            tuple(range(0, 4000, 2)),
+            tuple(range(5, 2005)),  # nothing passed from g = 5 on
+        ]
+        for _ in range(40):
+            n = rng.randint(100, 2000)
+            halves.append(tuple(sorted(rng.randint(0, rng.choice((n // 4, n, 3 * n)))
+                                       for _ in range(n))))
+        for neg in halves:
+            for g in (0, 1, 2, 5, 37, len(neg) // 2, len(neg), neg[-1], neg[-1] + 1):
+                assert words._landing(neg, g) == scan_landing(neg, g), (neg[:8], g)
+
+    def test_landings_bisect_a_bounded_number_of_times(self, monkeypatch):
+        # x0^-300 makes a neg half too long for bytes, so every letter takes
+        # the tuple steps; each x1 passes all 300 entries in one round
+        calls = []
+        bisect_left = words.bisect_left
+        monkeypatch.setattr(words, "bisect_left",
+                            lambda *args: calls.append(1) or bisect_left(*args))
+        w = parse_word("x0^-300 x1^300")
+        assert reduce_to_normal_form(w) == NormalForm((301,) * 300, (0,) * 300)
+        assert len(w) <= len(calls) <= 2 * len(w)
 
 
 class TestStandardAlphabet:
