@@ -236,14 +236,16 @@ _TOKEN_RE = re.compile(r"x([0-9]+)(?:\^(-?)([0-9]+))?\Z")
 # factor of more than _SHORT_FACTOR letters, are still quadratic in the
 # worst case: on the count vectors each letter may move their tail, in C;
 # on the tuple steps, which take each fold whose neg half could pass 255
-# entries, each letter rebuilds both halves and a landing may take a
-# bisection round per entry it passes.  With Python 3.11.7 on one pinned
-# CPU of a shared 2-CPU box, in process: x0^100000 reduces in 0.03 s and
-# x_{n-1} ... x0 in 0.04-0.06 s at n = 10,000 and 0.36 s at 30,000
-# (vectors); x0^-n in 0.16 s at n = 10,000 and 1.4-1.5 s at 30,000,
-# x0^-100000 x1^100000 in 32 s, and x4999^-1 ... x0^-1 x1^5000 in 5.3-6.2 s
-# (tuple steps).  The product of the forms of two 10,000-letter random words
-# over x0..x12 (about 4,000 letters each) takes 0.17-0.36 s.
+# entries, each letter rebuilds both halves and a landing may read every
+# neg entry.  With Python 3.11.7 on one pinned CPU of a shared 2-CPU box,
+# in process, best of 3: x0^100000 reduces in 0.03 s and x_{n-1} ... x0
+# in 0.06 s at n = 10,000 and 0.36 s at 30,000 (vectors); x0^-n in 0.16 s
+# at n = 10,000 and 1.4-1.5 s at 30,000, x0^-100000 x1^100000 in 32 s,
+# x0^-1 ...
+# x9999^-1 in 0.16 s, x4999^-1 ... x0^-1 x1^5000 in 0.72 s and x0^-1 ...
+# x4999^-1 x0^5000, the slowest measured within the cap, in 0.67-0.72 s
+# (tuple steps).  The product of the forms of two 10,000-letter random
+# words over x0..x12 (about 4,000 letters each) takes 0.16-0.36 s.
 MAX_WORD_LETTERS = 10_000
 # Largest generator index parse_word accepts; a diagram of x_n has forests
 # n + 2 leaves wide, so the cap also bounds what `diagram` prints.
@@ -330,16 +332,28 @@ def format_halves(pos: tuple | bytes, neg: tuple | bytes) -> str:
 def _landing(neg: tuple, g: int) -> tuple[int, int]:
     """Where a right factor x_g^{+-1} lands in neg: (k, g').  It passes the
     k leading j of neg below its current index, which grows by one per j
-    (x_j^-1 x_g^{+-1} -> x_{g+1}^{+-1} x_j^-1), so g' = g + k.  Each neg[m]
-    passed is below g + m <= g'-1: nothing in neg lies at g'-1, and
-    neg[k:] lies at g' or above.  So g' is the least fixed point of
-    t = g + bisect_left(neg, t), the rule `_fold` reads in its bytes; the
-    right side never decreases in t, so iterating from t = g reaches it,
-    one C-level bisection a round and each from the last round's k."""
-    k = 0
-    while k != (k := bisect_left(neg, g + k, k)):
-        pass
-    return k, g + k
+    (x_j^-1 x_g^{+-1} -> x_{g+1}^{+-1} x_j^-1), so g' = g + k and k is the
+    first with neg[k] >= g + k.  Each neg[m] passed is below g + m <= g'-1:
+    nothing in neg lies at g'-1, and neg[k:] lies at g' or above.  So g' is
+    also the least fixed point of t = g + bisect_left(neg, t), the rule
+    `_fold` reads in its bytes; the right side never decreases in t, so
+    rounds from t = g reach it, each passing every entry below t in one
+    C-level bisection.  Where neg runs through about one value an index,
+    rounds crawl by a few entries each; so once a round passes no more
+    entries than the rounds before it, the rest is read one entry at a
+    time.  A landing then takes at most about sqrt(2 len(neg)) rounds and
+    reads each entry at most once."""
+    k = rounds = 0
+    while (passed := bisect_left(neg, g + k, k) - k) > rounds:
+        k += passed
+        rounds += 1
+    t = g + k
+    if passed:
+        for j in neg[k:]:
+            if j >= t:
+                break
+            t += 1
+    return t - g, t
 
 
 def _times_positive(pos: tuple, neg: tuple, g: int) -> tuple[tuple, tuple]:

@@ -679,8 +679,9 @@ def scan_landing(neg, g):
 
 
 class TestLanding:
-    """`_landing` iterates t = g + bisect_left(neg, t) to its least fixed
-    point; it must land where the scan of the definition does."""
+    """`_landing` takes bisection rounds t = g + bisect_left(neg, t) and
+    then reads the rest one entry at a time; it must land where the scan
+    of the definition does."""
 
     def test_every_small_neg_half(self):
         count = 0
@@ -694,28 +695,38 @@ class TestLanding:
     def test_long_and_adversarial_neg_halves(self):
         rng = random.Random(47)
         halves = [
-            tuple(range(2000)),  # one round per entry passed
+            tuple(range(2000)),  # one entry passed a round from g = 1
             (0,) * 2000,  # every entry passed in one round
             tuple(range(0, 4000, 2)),
             tuple(range(5, 2005)),  # nothing passed from g = 5 on
+            # about one value an index, with repeats and gaps
+            tuple(v for b in range(700) for v in (3 * b, 3 * b, 3 * b + 2)),
         ]
         for _ in range(40):
             n = rng.randint(100, 2000)
             halves.append(tuple(sorted(rng.randint(0, rng.choice((n // 4, n, 3 * n)))
                                        for _ in range(n))))
         for neg in halves:
-            for g in (0, 1, 2, 5, 37, len(neg) // 2, len(neg), neg[-1], neg[-1] + 1):
+            for g in (0, 1, 2, 3, 5, 37, len(neg) // 2, len(neg), neg[-1], neg[-1] + 1):
                 assert words._landing(neg, g) == scan_landing(neg, g), (neg[:8], g)
 
-    def test_landings_bisect_a_bounded_number_of_times(self, monkeypatch):
-        # x0^-300 makes a neg half too long for bytes, so every letter takes
-        # the tuple steps; each x1 passes all 300 entries in one round
+    @pytest.mark.parametrize("text", [
+        # each x1 passes all 300 entries in one round
+        "x0^-300 x1^300",
+        # neg runs through 0..299, so each x1 passes one entry a round: the
+        # rounds stop after two and the rest is read one entry at a time
+        " ".join(f"x{j}^-1" for j in reversed(range(300))) + " x1^300",
+    ], ids=["one-round", "consecutive"])
+    def test_landings_bisect_at_most_twice_a_letter(self, text, monkeypatch):
+        # 300 inverse letters make a neg half too long for bytes, so every
+        # letter takes the tuple steps
+        w = parse_word(text)
+        expected = reduce_word_by_rewriting(w)
         calls = []
         bisect_left = words.bisect_left
         monkeypatch.setattr(words, "bisect_left",
                             lambda *args: calls.append(1) or bisect_left(*args))
-        w = parse_word("x0^-300 x1^300")
-        assert reduce_to_normal_form(w) == NormalForm((301,) * 300, (0,) * 300)
+        assert reduce_to_normal_form(w) == expected
         assert len(w) <= len(calls) <= 2 * len(w)
 
 
